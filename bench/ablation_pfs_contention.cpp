@@ -1,9 +1,9 @@
 // Ablation: machine-wide PFS bandwidth contention in the workload study.
 // The paper's Eq. 3 models per-application PFS contention (N_a / N_S) but
 // treats concurrent applications' checkpoints as independent; this
-// extension routes all PFS traffic through a shared processor-sharing
-// channel with a configurable gateway count and measures the impact on
-// dropped applications.
+// extension gives the flat platform g shared PFS gateways, so all PFS
+// traffic goes through one processor-sharing PFS device, and measures the
+// impact on dropped applications.
 
 #include <cstdio>
 #include <vector>
@@ -17,6 +17,7 @@ namespace {
 using namespace xres;
 
 int run(study::StudyContext& ctx) {
+  study::require_flat_platform(ctx.params(), "ablation_pfs_contention");
   const auto patterns = ctx.params().u32("patterns");
   const std::uint64_t seed = ctx.seed();
   const study::ObsOptions& obs_options = ctx.options().obs;
@@ -32,22 +33,22 @@ int run(study::StudyContext& ctx) {
 
   struct Variant {
     const char* name;
-    bool contention;
-    std::uint32_t gateways;
+    std::uint32_t gateways;  // 0 = no shared device
   };
-  for (const Variant variant : {Variant{"independent (paper)", false, 0},
-                                Variant{"shared, 8 gateways", true, 8},
-                                Variant{"shared, 4 gateways", true, 4},
-                                Variant{"shared, 1 gateway", true, 1}}) {
+  for (const Variant variant : {Variant{"independent (paper)", 0},
+                                Variant{"shared, 8 gateways", 8},
+                                Variant{"shared, 4 gateways", 4},
+                                Variant{"shared, 1 gateway", 1}}) {
     std::vector<std::string> row{variant.name};
     for (TechniqueKind kind : workload_techniques()) {
       WorkloadStudyConfig study_config;
       study_config.patterns = patterns;
       study_config.seed = seed;
       study::apply_platform_params(study_config.machine, ctx.params());
+      study_config.machine.platform.pfs_gateways = variant.gateways;
 
-      // Run the combos manually so the engine flag can be set; the crash-safe
-      // pattern loop journals each run under a per-cell batch label.
+      // The crash-safe pattern loop journals each run under a per-cell
+      // batch label.
       RunningStats dropped;
       study::run_patterns_controlled(
           coordinator, executor,
@@ -61,8 +62,6 @@ int run(study::StudyContext& ctx) {
             engine.policy = TechniquePolicy::fixed_technique(kind);
             engine.scheduler = SchedulerKind::kSlack;
             engine.seed = derive_seed(study_config.seed, 0x656e67696eULL, p);
-            engine.model_pfs_contention = variant.contention;
-            if (variant.contention) engine.pfs_gateways = variant.gateways;
             obs::TrialObs run_obs;
             if (obs_options.metrics()) {
               run_obs.enable_metrics();

@@ -25,6 +25,7 @@ struct Variant {
 };
 
 int run(study::StudyContext& ctx) {
+  study::require_flat_platform(ctx.params(), "ablation_pfs_contention_topology");
   const auto patterns = ctx.params().u32("patterns");
   const std::uint64_t seed = ctx.seed();
   study::RecoveryCoordinator& coordinator = ctx.recovery();

@@ -12,11 +12,9 @@
 #include "platform/machine.hpp"
 #include "platform/platform_model.hpp"
 #include "resilience/planner.hpp"
-#include "sim/pfs_device.hpp"
 #include "resilience/selector.hpp"
 #include "runtime/app_runtime.hpp"
-#include "runtime/transfer_service.hpp"
-#include "sim/shared_channel.hpp"
+#include "sim/pfs_device.hpp"
 #include "sim/simulation.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -35,7 +33,8 @@ class WorkloadEngine final : public SchedulerContext {
         severity_{config.resilience.severity_weights},
         scheduler_{make_scheduler(config.scheduler)},
         sched_rng_{derive_seed(config.seed, 0x7363686564ULL)},
-        jobs_{pattern.jobs} {
+        jobs_{pattern.jobs},
+        platform_model_{make_platform_model(config.machine)} {
     config_.resilience.validate();
     if (config_.policy.mode == TechniquePolicy::Mode::kSelection) {
       selector_.emplace(config_.machine, config_.resilience);
@@ -50,26 +49,8 @@ class WorkloadEngine final : public SchedulerContext {
           [this](const Failure& f, const Machine::Victim& v) { deliver_failure(f, v); },
           bursts);
     }
-    if (config_.machine.platform.model != PlatformModelKind::kFlat) {
-      XRES_CHECK(!config_.model_pfs_contention,
-                 "model_pfs_contention is the flat-model contention ablation; "
-                 "a non-flat platform model routes transfers through its own "
-                 "queued PFS device");
-      platform_model_ = make_platform_model(config_.machine);
-      pfs_device_.emplace(sim_, platform_model_->pfs_service_channels(),
-                          platform_model_->pfs_channel_bandwidth());
-      const Bandwidth aggregate =
-          platform_model_->pfs_channel_bandwidth() *
-          static_cast<double>(platform_model_->pfs_service_channels());
-      device_service_.emplace(*pfs_device_, aggregate);
-    } else if (config_.model_pfs_contention) {
-      XRES_CHECK(config_.pfs_gateways > 0, "PFS gateway count must be positive");
-      const Bandwidth per_stream =
-          config_.machine.network.bandwidth *
-          static_cast<double>(config_.machine.network.switch_connections);
-      pfs_channel_.emplace(sim_, per_stream * static_cast<double>(config_.pfs_gateways),
-                           per_stream);
-      pfs_service_.emplace(*pfs_channel_, per_stream);
+    if (const auto shape = platform_model_->pfs_device()) {
+      pfs_device_.emplace(sim_, *shape);
     }
     if (config_.scheduler == SchedulerKind::kTopoPack) {
       // Pack allocations under common leaf switches; inert for timing
@@ -153,10 +134,11 @@ class WorkloadEngine final : public SchedulerContext {
     }
 
     queue_wait_.add((sim_.now() - job.arrival).to_hours());
-    if (platform_model_ != nullptr) {
+    if (pfs_device_.has_value()) {
       // Placement is now known: tighten each PFS level's rate cap to what
-      // the fat tree grants the actual allocated range (a fragmented or
-      // unaligned placement spans more switches and may inject less).
+      // the platform grants the actual allocated range (under the fat tree
+      // a fragmented or unaligned placement spans more switches and may
+      // inject less).
       for (CheckpointLevelSpec& level : plan.levels) {
         if (level.uses_shared_pfs && level.pfs_bytes > DataSize::zero()) {
           level.pfs_rate_cap =
@@ -168,11 +150,7 @@ class WorkloadEngine final : public SchedulerContext {
         sim_, std::move(plan),
         derive_seed(config_.seed, static_cast<std::uint64_t>(job.id), 0x61707021ULL),
         [this, id = job.id](const ExecutionResult& r) { on_runtime_finished(id, r); });
-    if (device_service_.has_value()) {
-      runtime->set_pfs_transfer_service(&*device_service_);
-    } else if (pfs_service_.has_value()) {
-      runtime->set_pfs_transfer_service(&*pfs_service_);
-    }
+    if (pfs_device_.has_value()) runtime->set_pfs_device(&*pfs_device_);
     runtime->set_observer(config_.obs);
     ResilientAppRuntime* raw = runtime.get();
     running_.emplace(job.id, std::move(runtime));
@@ -319,11 +297,9 @@ class WorkloadEngine final : public SchedulerContext {
 
   std::optional<ResilienceSelector> selector_;
   std::optional<SystemFailureProcess> failures_;
-  std::optional<SharedChannel> pfs_channel_;
-  std::optional<SharedChannelTransferService> pfs_service_;
   std::unique_ptr<PlatformModel> platform_model_;
+  /// The machine-wide PFS device, when the platform model has one.
   std::optional<PfsDevice> pfs_device_;
-  std::optional<PfsDeviceTransferService> device_service_;
 
   std::vector<JobId> unmapped_;  // arrival order
   std::unordered_map<JobId, std::unique_ptr<ResilientAppRuntime>> running_;

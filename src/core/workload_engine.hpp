@@ -45,15 +45,6 @@ struct WorkloadEngineConfig {
   double burst_probability{0.0};
   std::uint32_t burst_width{64};
 
-  /// Extension: model machine-wide PFS bandwidth contention. When enabled,
-  /// PFS-backed checkpoints/restarts from concurrent applications share a
-  /// processor-sharing channel of capacity pfs_gateways × B_N × N_S (each
-  /// application individually capped at its Eq.-3 rate B_N × N_S).
-  /// Mutually exclusive with a non-flat machine.platform.model, which
-  /// routes the same transfers through the queued PfsDevice instead.
-  bool model_pfs_contention{false};
-  std::uint32_t pfs_gateways{4};
-
   /// Optional observation context (metrics channel; obs/trial_obs.hpp) for
   /// this pattern run: job counters plus the per-runtime event metrics.
   /// Must outlive the run and is touched only by the running thread. Null
@@ -86,11 +77,12 @@ struct WorkloadRunResult {
   /// Job tenancies (populated when record_occupancy is set).
   OccupancyLog occupancy;
 
-  /// Queued-PFS-device accounting (non-flat platform models only):
-  /// completed device transfers, their summed wall time (submit →
-  /// completion, including queueing and link caps) and their summed
-  /// closed-form Eq.-3 nominal time. measured / nominal is the run's
-  /// emergent divergence from the analytic contention model.
+  /// PFS-device accounting, zero when the platform model gives the run no
+  /// device (PlatformModel::pfs_device): completed device transfers, their
+  /// summed wall time (submit → completion, including queueing, sharing
+  /// and rate caps) and their summed closed-form Eq.-3 nominal time.
+  /// measured / nominal is the run's emergent divergence from the analytic
+  /// contention model.
   std::uint64_t pfs_transfers{0};
   double pfs_measured_s{0.0};
   double pfs_nominal_s{0.0};

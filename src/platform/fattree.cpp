@@ -62,9 +62,22 @@ Bandwidth FatTreeTopology::injection_bandwidth(std::uint32_t first,
   return Bandwidth::bytes_per_second(cap);
 }
 
+namespace {
+
+PfsDeviceShape queued_pfs_device(const MachineSpec& machine) {
+  const std::uint32_t configured = machine.platform.fattree.pfs_channels;
+  const std::uint32_t channels =
+      configured > 0 ? configured : machine.network.switch_connections;
+  const Bandwidth aggregate = machine.network.bandwidth * static_cast<double>(channels);
+  return PfsDeviceShape{channels, aggregate, aggregate};
+}
+
+}  // namespace
+
 FatTreePlatformModel::FatTreePlatformModel(const MachineSpec& machine)
     : machine_{machine},
-      topology_{machine.node_count, machine.network, machine.platform.fattree} {}
+      topology_{machine.node_count, machine.network, machine.platform.fattree},
+      device_{queued_pfs_device(machine)} {}
 
 Duration FatTreePlatformModel::pfs_transfer_time(DataSize memory_per_node,
                                                  std::uint32_t app_nodes) const {
@@ -84,9 +97,7 @@ Bandwidth FatTreePlatformModel::pfs_effective_bandwidth(std::uint32_t app_nodes)
 Bandwidth FatTreePlatformModel::pfs_rate_cap_for_range(std::uint32_t first_node,
                                                        std::uint32_t count) const {
   const Bandwidth injection = topology_.injection_bandwidth(first_node, count);
-  const Bandwidth device =
-      pfs_channel_bandwidth() * static_cast<double>(pfs_service_channels());
-  return std::min(injection, device);
+  return std::min(injection, device_.aggregate);
 }
 
 Duration FatTreePlatformModel::local_memory_time(DataSize memory_per_node) const {
@@ -96,15 +107,6 @@ Duration FatTreePlatformModel::local_memory_time(DataSize memory_per_node) const
 Duration FatTreePlatformModel::partner_copy_time(DataSize memory_per_node) const {
   return partner_copy_checkpoint_time(memory_per_node, machine_.node,
                                       machine_.network);
-}
-
-std::uint32_t FatTreePlatformModel::pfs_service_channels() const {
-  const std::uint32_t configured = machine_.platform.fattree.pfs_channels;
-  return configured > 0 ? configured : machine_.network.switch_connections;
-}
-
-Bandwidth FatTreePlatformModel::pfs_channel_bandwidth() const {
-  return machine_.network.bandwidth;
 }
 
 }  // namespace xres

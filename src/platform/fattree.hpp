@@ -88,14 +88,17 @@ class FatTreePlatformModel final : public PlatformModel {
                                                  std::uint32_t count) const override;
   [[nodiscard]] Duration local_memory_time(DataSize memory_per_node) const override;
   [[nodiscard]] Duration partner_copy_time(DataSize memory_per_node) const override;
-  [[nodiscard]] std::uint32_t pfs_service_channels() const override;
-  [[nodiscard]] Bandwidth pfs_channel_bandwidth() const override;
+  /// FIFO admission to `platform.pfs.channels` channels (0 = N_S) of B_N.
+  [[nodiscard]] std::optional<PfsDeviceShape> pfs_device() const override {
+    return device_;
+  }
 
   [[nodiscard]] const FatTreeTopology& topology() const { return topology_; }
 
  private:
   MachineSpec machine_;
   FatTreeTopology topology_;
+  PfsDeviceShape device_;
 };
 
 }  // namespace xres

@@ -33,12 +33,13 @@ Duration FlatPlatformModel::partner_copy_time(DataSize memory_per_node) const {
                                       machine_.network);
 }
 
-std::uint32_t FlatPlatformModel::pfs_service_channels() const {
-  return machine_.network.switch_connections;
-}
-
-Bandwidth FlatPlatformModel::pfs_channel_bandwidth() const {
-  return machine_.network.bandwidth;
+std::optional<PfsDeviceShape> FlatPlatformModel::pfs_device() const {
+  const std::uint32_t gateways = machine_.platform.pfs_gateways;
+  if (gateways == 0) return std::nullopt;
+  // Contention appears beyond `gateways` concurrent checkpoints.
+  const Bandwidth per_stream =
+      machine_.network.bandwidth * static_cast<double>(machine_.network.switch_connections);
+  return PfsDeviceShape{0, per_stream * static_cast<double>(gateways), per_stream};
 }
 
 std::unique_ptr<PlatformModel> make_platform_model(const MachineSpec& machine) {

@@ -18,17 +18,47 @@
 ///    PFS device's aggregate service bandwidth (sim/pfs_device.hpp).
 ///
 /// The planner consumes `pfs_transfer_time` / `*_time` when building
-/// plans; the workload engine additionally consumes
-/// `pfs_rate_cap_for_range` to account for the actual allocated node range
-/// once placement is known.
+/// plans; the workload engine additionally consumes `pfs_device` to size
+/// the shared PFS device and `pfs_rate_cap_for_range` to account for the
+/// actual allocated node range once placement is known.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "platform/spec.hpp"
 #include "util/units.hpp"
 
 namespace xres {
+
+/// Everything the platform model knows about one checkpoint transfer.
+/// `nominal` is always set (the plan's closed-form duration); `bytes` and
+/// `rate_cap` are set when the plan was built by a topology-aware model
+/// (resilience/plan.hpp) so the device can serve actual data at the
+/// application's injection bandwidth.
+struct TransferRequest {
+  Duration nominal{Duration::zero()};
+  DataSize bytes{DataSize::zero()};
+  Bandwidth rate_cap{Bandwidth::bytes_per_second(0.0)};
+
+  [[nodiscard]] bool has_topology_info() const {
+    return bytes > DataSize::zero() && rate_cap > Bandwidth::bytes_per_second(0.0);
+  }
+};
+
+/// Shape of the machine-wide PFS device (sim/pfs_device.hpp) that serves a
+/// workload run's PFS-backed checkpoint and restart transfers.
+struct PfsDeviceShape {
+  /// Transfers in service at once; later ones wait in arrival order.
+  /// 0 admits every transfer at once (processor sharing).
+  std::uint32_t admission{0};
+  /// Total service bandwidth, fair-shared by the transfers in service.
+  Bandwidth aggregate{Bandwidth::bytes_per_second(0.0)};
+  /// Rate of a request without topology information: its nominal duration
+  /// converts to bytes at this rate, which also caps the transfer, so a
+  /// lone request takes exactly its nominal time.
+  Bandwidth stream_rate{Bandwidth::bytes_per_second(0.0)};
+};
 
 class PlatformModel {
  public:
@@ -59,13 +89,9 @@ class PlatformModel {
   /// Eq. 6: level-2 checkpoint to a contiguous partner node.
   [[nodiscard]] virtual Duration partner_copy_time(DataSize memory_per_node) const = 0;
 
-  /// Service channels of the shared PFS device (N_S for both models unless
-  /// overridden via platform.pfs.channels).
-  [[nodiscard]] virtual std::uint32_t pfs_service_channels() const = 0;
-
-  /// Bandwidth of one PFS service channel (aggregate device bandwidth =
-  /// channels × this).
-  [[nodiscard]] virtual Bandwidth pfs_channel_bandwidth() const = 0;
+  /// The shared PFS device workload runs route PFS-backed phases through,
+  /// or nullopt when every PFS transfer takes its closed-form time.
+  [[nodiscard]] virtual std::optional<PfsDeviceShape> pfs_device() const = 0;
 };
 
 /// The paper's closed-form model: Eq. 3/5/6 verbatim.
@@ -81,8 +107,10 @@ class FlatPlatformModel final : public PlatformModel {
                                                  std::uint32_t count) const override;
   [[nodiscard]] Duration local_memory_time(DataSize memory_per_node) const override;
   [[nodiscard]] Duration partner_copy_time(DataSize memory_per_node) const override;
-  [[nodiscard]] std::uint32_t pfs_service_channels() const override;
-  [[nodiscard]] Bandwidth pfs_channel_bandwidth() const override;
+  /// nullopt unless `PlatformSpec::pfs_gateways` is set; then a
+  /// processor-sharing device of aggregate g · B_N · N_S with each stream
+  /// capped at its Eq.-3 rate B_N · N_S.
+  [[nodiscard]] std::optional<PfsDeviceShape> pfs_device() const override;
 
  private:
   MachineSpec machine_;

@@ -33,6 +33,9 @@ void PlatformSpec::validate() const {
   XRES_CHECK(fattree.leaf_radix >= 2, "platform.fattree.radix must be at least 2");
   XRES_CHECK(fattree.taper > 0.0 && fattree.taper <= 1.0,
              "platform.fattree.taper must be in (0, 1]");
+  XRES_CHECK(pfs_gateways == 0 || model == PlatformModelKind::kFlat,
+             "PFS gateways are a flat-platform option; the fat tree queues PFS "
+             "transfers on platform.pfs.channels");
 }
 
 std::string PlatformSpec::describe() const {

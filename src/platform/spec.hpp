@@ -62,6 +62,11 @@ struct FatTreeParams {
 struct PlatformSpec {
   PlatformModelKind model{PlatformModelKind::kFlat};
   FatTreeParams fattree{};
+  /// Flat only: shared PFS gateways g. 0 (the paper) prices every PFS
+  /// transfer with Eq. 3 alone; g > 0 makes concurrent applications share
+  /// a processor-sharing PFS device of aggregate g · B_N · N_S, each capped
+  /// at its Eq.-3 rate B_N · N_S (ablation_pfs_contention).
+  std::uint32_t pfs_gateways{0};
 
   /// Validates topology parameters; throws CheckError otherwise.
   void validate() const;

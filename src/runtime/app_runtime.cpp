@@ -104,9 +104,9 @@ void ResilientAppRuntime::start() {
   enter_working();
 }
 
-void ResilientAppRuntime::set_pfs_transfer_service(TransferService* service) {
-  XRES_CHECK(phase_ == Phase::kIdle, "transfer service must be set before start");
-  pfs_service_ = service;
+void ResilientAppRuntime::set_pfs_device(PfsDevice* device) {
+  XRES_CHECK(phase_ == Phase::kIdle, "PFS device must be set before start");
+  pfs_device_ = device;
 }
 
 void ResilientAppRuntime::set_observer(obs::TrialObs* obs) {
@@ -116,8 +116,8 @@ void ResilientAppRuntime::set_observer(obs::TrialObs* obs) {
 
 void ResilientAppRuntime::attach_direct_host(DirectHost* host) {
   XRES_CHECK(phase_ == Phase::kIdle, "direct host must be attached before start");
-  XRES_CHECK(pfs_service_ == nullptr,
-             "direct execution does not support a shared PFS transfer service");
+  XRES_CHECK(pfs_device_ == nullptr,
+             "direct execution does not support a shared PFS device");
   XRES_CHECK(host != nullptr, "direct host must be non-null");
   direct_ = host;
 }
@@ -164,7 +164,7 @@ void ResilientAppRuntime::cancel_pending() {
   }
   if (!has_pending_) return;
   if (pending_is_transfer_) {
-    pfs_service_->cancel(pending_transfer_);
+    pfs_device_->cancel(pending_transfer_);
   } else {
     sim_.cancel(pending_);
   }
@@ -182,7 +182,7 @@ void ResilientAppRuntime::schedule_phase(Duration nominal, bool shared_pfs,
     EventCallback handler = std::move(phase_done_);
     handler();
   };
-  if (shared_pfs && pfs_service_ != nullptr) {
+  if (shared_pfs && pfs_device_ != nullptr) {
     if (obs_ != nullptr) obs_->count(obs::builtin_metrics().pfs_phases);
     // phase_level_ is always current here: shared_pfs phases are entered
     // only from enter_checkpointing / enter_restarting, which set it.
@@ -190,7 +190,7 @@ void ResilientAppRuntime::schedule_phase(Duration nominal, bool shared_pfs,
     request.nominal = nominal;
     request.bytes = plan_.levels[phase_level_].pfs_bytes;
     request.rate_cap = plan_.levels[phase_level_].pfs_rate_cap;
-    pending_transfer_ = pfs_service_->begin(request, std::move(wrapped));
+    pending_transfer_ = pfs_device_->begin_transfer(request, std::move(wrapped));
     pending_is_transfer_ = true;
   } else {
     pending_ = sim_.schedule_after(nominal, std::move(wrapped));

@@ -30,7 +30,7 @@
 #include "resilience/plan.hpp"
 #include "runtime/result.hpp"
 #include "runtime/timeline.hpp"
-#include "runtime/transfer_service.hpp"
+#include "sim/pfs_device.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
@@ -113,11 +113,11 @@ class ResilientAppRuntime {
   /// called before start(); costs one vector append per phase transition.
   void enable_timeline();
 
-  /// Route PFS-backed checkpoint/restart phases through \p service (e.g. a
-  /// contended SharedChannelTransferService shared across applications).
-  /// Must be called before start(); the service must outlive the runtime.
-  /// Without it, nominal Eq.-3 durations are taken literally.
-  void set_pfs_transfer_service(TransferService* service);
+  /// Route PFS-backed checkpoint/restart phases through \p device, the
+  /// machine-wide PFS device shared across applications. Must be called
+  /// before start(); the device must outlive the runtime. Without it,
+  /// nominal Eq.-3 durations are taken literally.
+  void set_pfs_device(PfsDevice* device);
 
   /// The recorded timeline, or nullptr when recording was not enabled.
   [[nodiscard]] const Timeline* timeline() const {
@@ -132,8 +132,7 @@ class ResilientAppRuntime {
 
   /// Direct execution: publish phase/timeout events into \p host instead of
   /// the Simulation queue (see DirectHost). Must be called before start();
-  /// incompatible with a PFS transfer service. \p host must outlive the
-  /// runtime.
+  /// incompatible with a PFS device. \p host must outlive the runtime.
   void attach_direct_host(DirectHost* host);
 
   /// Fire the pending phase-completion published in the direct host: clears
@@ -151,9 +150,9 @@ class ResilientAppRuntime {
   void enter_restarting(std::size_t level_index, Duration restore_cost, bool shared_pfs);
   void enter_recovering(Duration lost_work);
 
-  /// Schedule the current phase's completion: a plain timer, or a shared
-  /// PFS transfer when the phase moves data through the file system and a
-  /// service is attached. \p done is parked in phase_done_ so the scheduled
+  /// Schedule the current phase's completion: a plain timer, or a PFS
+  /// device transfer when the phase moves data through the file system and
+  /// a device is attached. \p done is parked in phase_done_ so the scheduled
   /// closure captures only `this` (stays inline in SmallCallback's buffer).
   void schedule_phase(Duration nominal, bool shared_pfs, EventCallback done);
 
@@ -252,7 +251,7 @@ class ResilientAppRuntime {
   double active_recovery_nodes_{0.0};
 
   std::optional<Timeline> timeline_;
-  TransferService* pfs_service_{nullptr};
+  PfsDevice* pfs_device_{nullptr};
   obs::TrialObs* obs_{nullptr};
   DirectHost* direct_{nullptr};
 
@@ -266,7 +265,7 @@ class ResilientAppRuntime {
   bool phase_pfs_{false};
 
   EventId pending_{};
-  TransferService::TransferHandle pending_transfer_{};
+  PfsDevice::TransferId pending_transfer_{};
   bool pending_is_transfer_{false};
   bool has_pending_{false};
   /// Completion handler of the in-flight phase (see schedule_phase).

@@ -12,15 +12,15 @@ namespace {
 constexpr double kRemainingEpsilonBytes = 1e-6;
 }  // namespace
 
-PfsDevice::PfsDevice(Simulation& sim, std::uint32_t service_channels,
-                     Bandwidth channel_bandwidth)
+PfsDevice::PfsDevice(Simulation& sim, const PfsDeviceShape& shape)
     : sim_{sim},
-      service_channels_{service_channels},
-      aggregate_bps_{channel_bandwidth.to_bytes_per_second() *
-                     static_cast<double>(service_channels)},
+      admission_{shape.admission > 0 ? shape.admission
+                                     : std::numeric_limits<std::size_t>::max()},
+      aggregate_bps_{shape.aggregate.to_bytes_per_second()},
+      stream_bps_{shape.stream_rate.to_bytes_per_second()},
       last_update_s_{sim.now().to_seconds()} {
-  XRES_CHECK(service_channels_ > 0, "PFS device needs at least one service channel");
-  XRES_CHECK(aggregate_bps_ > 0.0, "PFS channel bandwidth must be positive");
+  XRES_CHECK(aggregate_bps_ > 0.0, "PFS device bandwidth must be positive");
+  XRES_CHECK(stream_bps_ > 0.0, "PFS device stream rate must be positive");
 }
 
 PfsDevice::~PfsDevice() {
@@ -62,7 +62,7 @@ void PfsDevice::reschedule() {
 }
 
 void PfsDevice::admit_from_queue() {
-  while (active_.size() < service_channels_ && !waiting_.empty()) {
+  while (active_.size() < admission_ && !waiting_.empty()) {
     const TransferId id = waiting_.front();
     waiting_.pop_front();
     auto it = queued_.find(id);
@@ -76,9 +76,9 @@ void PfsDevice::on_completion_event() {
   advance_to_now();
   // Complete exactly one finished transfer per event; simultaneous
   // finishers re-fire at zero delay. "Finished" tolerates floating-point
-  // residue exactly like SharedChannel: at large absolute clock values an
-  // ETA below the clock's representable resolution cannot advance time, so
-  // anything within a few ulps of completion at its current rate is done.
+  // residue: at large absolute clock values an ETA below the clock's
+  // representable resolution cannot advance time, so anything within a few
+  // ulps of completion at its current rate is done.
   const double clock_resolution =
       std::max(1e-9, sim_.now().to_seconds() * 8.0 * std::numeric_limits<double>::epsilon());
   auto best = active_.end();
@@ -107,22 +107,24 @@ void PfsDevice::on_completion_event() {
   reschedule();
 }
 
-PfsDevice::TransferId PfsDevice::begin_transfer(DataSize size, Bandwidth rate_cap,
-                                                Duration nominal,
+PfsDevice::TransferId PfsDevice::begin_transfer(const TransferRequest& request,
                                                 CompletionCallback on_complete) {
   XRES_CHECK(static_cast<bool>(on_complete), "completion callback must be non-empty");
-  XRES_CHECK(size >= DataSize::zero(), "transfer size must be non-negative");
-  XRES_CHECK(rate_cap > Bandwidth::bytes_per_second(0.0),
-             "transfer rate cap must be positive");
+  XRES_CHECK(request.nominal >= Duration::zero(), "transfer duration must be non-negative");
+  Transfer t;
+  if (request.has_topology_info()) {
+    t.remaining_bytes = request.bytes.to_bytes();
+    t.rate_cap_bps = request.rate_cap.to_bytes_per_second();
+  } else {
+    t.remaining_bytes = request.nominal.to_seconds() * stream_bps_;
+    t.rate_cap_bps = stream_bps_;
+  }
   advance_to_now();
   const TransferId id = next_id_++;
-  Transfer t;
-  t.remaining_bytes = size.to_bytes();
-  t.rate_cap_bps = rate_cap.to_bytes_per_second();
   t.submit_s = sim_.now().to_seconds();
-  t.nominal_s = nominal.to_seconds();
+  t.nominal_s = request.nominal.to_seconds();
   t.on_complete = std::move(on_complete);
-  if (active_.size() < service_channels_) {
+  if (active_.size() < admission_) {
     active_.emplace(id, std::move(t));
   } else {
     queued_.emplace(id, std::move(t));

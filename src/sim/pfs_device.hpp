@@ -1,30 +1,36 @@
 #pragma once
 
 /// \file pfs_device.hpp
-/// A queued parallel-file-system device for discrete-event simulations
-/// (docs/PLATFORM.md).
+/// The machine-wide parallel-file-system device for discrete-event
+/// simulations (docs/PLATFORM.md): the one model of PFS contention between
+/// concurrent applications.
 ///
-/// The device has `service_channels` slots (the paper's N_S), each worth
-/// `channel_bandwidth` (B_N). Transfers are admitted FIFO: at most
-/// `service_channels` are in service at once; the rest wait in an arrival-
-/// order queue. In-service transfers fair-share the aggregate device
-/// bandwidth (channels × B_N), each additionally limited by its own
-/// `rate_cap` — the injection bandwidth the interconnect grants the
-/// application (fattree.hpp), so a small application cannot absorb more of
-/// the device than its links can carry.
+/// The platform model chooses the device's shape (PfsDeviceShape):
 ///
-/// Like SharedChannel, progress is exact (no time-stepping): whenever the
+///  * flat with g shared gateways: unbounded admission, aggregate
+///    g · B_N · N_S and a per-stream cap of B_N · N_S, so n concurrent
+///    transfers each progress at min(B_N · N_S, g · B_N · N_S / n) — the
+///    egalitarian processor-sharing queue;
+///  * fattree: FIFO admission to N_S channels of B_N; the rest wait in
+///    arrival order, and each in-service transfer is also capped by the
+///    injection bandwidth the interconnect grants its application
+///    (fattree.hpp).
+///
+/// In-service transfers fair-share the aggregate bandwidth, each limited by
+/// its own rate cap. Progress is exact (no time-stepping): whenever the
 /// active set changes, remaining sizes advance at the old rates and the
 /// single pending completion event moves to the new earliest finisher.
 ///
 /// The device tracks measured vs. nominal service time so studies can
-/// report how far queueing + link caps diverge from the closed-form Eq. 3
-/// cost that `nominal` carries.
+/// report how far queueing and rate caps diverge from the closed-form Eq. 3
+/// cost that a request's `nominal` carries.
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
 
+#include "platform/platform_model.hpp"
 #include "sim/simulation.hpp"
 #include "util/units.hpp"
 
@@ -35,18 +41,18 @@ class PfsDevice {
   using TransferId = std::uint64_t;
   using CompletionCallback = EventCallback;
 
-  PfsDevice(Simulation& sim, std::uint32_t service_channels,
-            Bandwidth channel_bandwidth);
+  PfsDevice(Simulation& sim, const PfsDeviceShape& shape);
 
   PfsDevice(const PfsDevice&) = delete;
   PfsDevice& operator=(const PfsDevice&) = delete;
   ~PfsDevice();
 
-  /// Submit \p size for service. \p rate_cap bounds this transfer's rate
-  /// (the application's injection bandwidth); \p nominal is the
-  /// closed-form cost the caller would have charged without the device
-  /// (for divergence accounting). \p on_complete fires at completion.
-  TransferId begin_transfer(DataSize size, Bandwidth rate_cap, Duration nominal,
+  /// Submit \p request for service; \p on_complete fires at completion.
+  /// A request with topology information moves its bytes under its own
+  /// rate cap. Otherwise its nominal duration converts to bytes at the
+  /// shape's stream rate, which also caps it. The nominal duration feeds
+  /// the divergence accounting either way.
+  TransferId begin_transfer(const TransferRequest& request,
                             CompletionCallback on_complete);
 
   /// Abort a transfer (queued or in service). Returns false when it
@@ -80,8 +86,9 @@ class PfsDevice {
   void admit_from_queue();
 
   Simulation& sim_;
-  std::uint32_t service_channels_;
+  std::size_t admission_;
   double aggregate_bps_;
+  double stream_bps_;
   std::map<TransferId, Transfer> active_;
   std::deque<TransferId> waiting_;       ///< FIFO admission order
   std::map<TransferId, Transfer> queued_;

@@ -2,6 +2,7 @@
 
 #include "study/options.hpp"
 #include "util/check.hpp"
+#include "util/cli.hpp"
 
 namespace xres::study {
 
@@ -45,6 +46,13 @@ void apply_platform_params(MachineSpec& machine, const ParamSet& params) {
   } catch (const CheckError& e) {
     usage_error_from(e);
   }
+}
+
+void require_flat_platform(const ParamSet& params, const char* study) {
+  const std::string model = params.str(kPlatformModelKey);
+  if (model == to_string(PlatformModelKind::kFlat)) return;
+  CliParser::usage_error(std::string{study} + " sweeps the PFS model itself: " +
+                         kPlatformModelKey + " must be flat, got '" + model + "'");
 }
 
 }  // namespace xres::study

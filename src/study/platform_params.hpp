@@ -41,4 +41,9 @@ void materialize_platform(MachineSpec& machine, const ParamSet& params);
 /// (exit code 2) — the form study run functions call.
 void apply_platform_params(MachineSpec& machine, const ParamSet& params);
 
+/// For studies that sweep the PFS model themselves: exits with the usage
+/// error code (2), naming `platform.model`, unless \p params keep the flat
+/// default. Call before any pattern runs.
+void require_flat_platform(const ParamSet& params, const char* study);
+
 }  // namespace xres::study

@@ -18,12 +18,13 @@
 
 // Discrete-event engine
 #include "sim/event_queue.hpp"
-#include "sim/shared_channel.hpp"
+#include "sim/pfs_device.hpp"
 #include "sim/simulation.hpp"
 
 // Platform model
 #include "platform/allocator.hpp"
 #include "platform/machine.hpp"
+#include "platform/platform_model.hpp"
 #include "platform/spec.hpp"
 #include "platform/transfer.hpp"
 
@@ -56,7 +57,6 @@
 #include "runtime/power.hpp"
 #include "runtime/result.hpp"
 #include "runtime/timeline.hpp"
-#include "runtime/transfer_service.hpp"
 
 // Resource management
 #include "rm/scheduler.hpp"

@@ -161,6 +161,17 @@ TEST(StudyMainDeathTest, ResumeWithoutJournalExitsUsage) {
               ::testing::ExitedWithCode(CliParser::kExitUsage), "--resume");
 }
 
+TEST(StudyMainDeathTest, PfsAblationsRejectNonFlatPlatform) {
+  // Both PFS ablations sweep the PFS model themselves, so a platform
+  // override would silently run their rows on the wrong platform.
+  for (const char* name : {"ablation_pfs_contention", "ablation_pfs_contention_topology"}) {
+    const char* argv[] = {"prog", "--patterns=1", "--platform.model=fattree"};
+    EXPECT_EXIT(study_main(name, 3, argv),
+                ::testing::ExitedWithCode(CliParser::kExitUsage), "platform.model")
+        << name;
+  }
+}
+
 // The exit-2 contract for `xres sweep`: every malformed invocation dies with
 // the usage exit code and a one-line diagnostic naming the offending key.
 using SweepMainDeathTest = ::testing::Test;

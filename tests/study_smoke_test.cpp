@@ -35,12 +35,14 @@ struct SmokeArtifacts {
   std::string metrics_bytes;
 };
 
-SmokeArtifacts run_smoke(const StudyDefinition& def, unsigned threads) {
+/// Runs \p def with every trial/pattern/trace count set to \p count.
+SmokeArtifacts run_smoke(const StudyDefinition& def, unsigned threads,
+                         const char* count = "2") {
   const std::string base = ::testing::TempDir() + "smoke_" + def.name + "_t" +
                            std::to_string(threads);
   ParamSet params{def};
   for (const char* key : {"trials", "patterns", "traces"}) {
-    if (def.find_param(key) != nullptr) params.set(key, "2");
+    if (def.find_param(key) != nullptr) params.set(key, count);
   }
   HarnessOptions options = default_harness_options(def);
   if (def.options.threads) options.threads = threads;
@@ -145,6 +147,39 @@ TEST(StudySmoke, FullCatalogThreadsInvariant) {
   for (const StudyDefinition* def : StudyRegistry::instance().all()) {
     expect_threads_invariant(def->name);
   }
+}
+
+/// Compares \p bytes with the golden file \p path (rewrites it instead
+/// when XRES_REGEN_GOLDEN is set).
+void expect_golden(const std::string& path, const std::string& bytes) {
+  if (std::getenv("XRES_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out{path, std::ios::binary};
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << bytes;
+    return;
+  }
+  std::ifstream in{path, std::ios::binary};
+  ASSERT_TRUE(in.good()) << "missing golden file " << path
+                         << " (regenerate with XRES_REGEN_GOLDEN=1)";
+  EXPECT_EQ(bytes, read_file(path))
+      << path << " drifted; regenerate with XRES_REGEN_GOLDEN=1 only if the "
+      << "change is intentional";
+}
+
+// Byte-identity guard for the shared-PFS path: the contention ablation's
+// report and --metrics JSON at one pattern per cell are pinned to goldens,
+// so any change to how the shared PFS serves checkpoint storms shows up
+// here rather than only in inequality checks.
+TEST(StudySmoke, PfsContentionMatchesGolden) {
+  const StudyDefinition* def =
+      StudyRegistry::instance().find("ablation_pfs_contention");
+  ASSERT_NE(def, nullptr);
+  const SmokeArtifacts run = run_smoke(*def, 1, "1");
+  ASSERT_EQ(run.exit_code, 0);
+  const std::string base =
+      std::string{XRES_TEST_DATA_DIR} + "/ablation_pfs_contention_p1";
+  expect_golden(base + ".txt", run.stdout_bytes);
+  expect_golden(base + ".metrics.json", run.metrics_bytes);
 }
 
 }  // namespace

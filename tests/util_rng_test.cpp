@@ -161,6 +161,16 @@ TEST(DiscreteDistribution, RejectsInvalidWeights) {
 
 struct PmfCase {
   std::vector<double> weights;
+
+  // Names each case by its weights. Without this gtest prints the vector's
+  // raw bytes — heap pointers — and the discovered ctest names change with
+  // every build.
+  friend void PrintTo(const PmfCase& c, std::ostream* os) {
+    *os << "weights=";
+    for (std::size_t i = 0; i < c.weights.size(); ++i) {
+      *os << (i == 0 ? "" : ",") << c.weights[i];
+    }
+  }
 };
 
 class DiscreteDistributionPmf : public ::testing::TestWithParam<PmfCase> {};

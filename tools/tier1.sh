@@ -190,6 +190,20 @@ topology_check() {
     return 1
   fi
 
+  # The PFS ablations sweep the PFS model themselves: a fattree override
+  # must be rejected as a usage error before any pattern runs.
+  local study
+  for study in ablation_pfs_contention ablation_pfs_contention_topology; do
+    rc=0
+    "$BUILD"/tools/xres run "$study" --set patterns=1 --platform.model fattree \
+      > "$dir/$study.out" 2> "$dir/$study.err" || rc=$?
+    if [[ "$rc" != 2 ]] || ! grep -q 'platform.model' "$dir/$study.err" ||
+      [[ -s "$dir/$study.out" ]]; then
+      echo "topology: expected $study to exit 2 on fattree before running, got $rc" >&2
+      return 1
+    fi
+  done
+
   # SIGKILL a journaled fattree run mid-flight; --resume must reproduce the
   # golden bytes (if the race is lost the resume is a full replay — still a
   # valid check).
@@ -205,7 +219,7 @@ topology_check() {
   "${filter[@]}" "$dir/r4.txt" > "$dir/r4-clean.txt"
   "${filter[@]}" "$dir/resumed.txt" > "$dir/resumed-clean.txt"
   cmp "$dir/r4-clean.txt" "$dir/resumed-clean.txt"
-  echo "topology: OK (fattree threads 1 vs 4 + flat default + resume byte-identical)"
+  echo "topology: OK (fattree threads 1 vs 4 + flat default + PFS ablations reject fattree + resume byte-identical)"
 }
 topology_check
 stage_done topology
