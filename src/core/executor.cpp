@@ -9,37 +9,17 @@
 #include <thread>
 #include <utility>
 
-#include "core/trial_engine.hpp"
-#include "failure/process.hpp"
-#include "failure/replay.hpp"
-#include "failure/severity.hpp"
 #include "recovery/journal.hpp"
 #include "recovery/json_parse.hpp"
 #include "recovery/shutdown.hpp"
 #include "recovery/trial_record.hpp"
 #include "obs/perf.hpp"
-#include "resilience/planner.hpp"
-#include "runtime/app_runtime.hpp"
-#include "sim/simulation.hpp"
 #include "util/check.hpp"
 #include "util/deadline.hpp"
 
 namespace xres {
 
 namespace {
-
-ExecutionResult infeasible_result(const ExecutionPlan& plan, obs::TrialObs* obs) {
-  ExecutionResult result;
-  result.completed = false;
-  result.baseline = plan.baseline;
-  result.efficiency = 0.0;
-  if (obs != nullptr) {
-    const obs::BuiltinMetrics& m = obs::builtin_metrics();
-    obs->count(m.trials_run);
-    obs->count(m.trials_infeasible);
-  }
-  return result;
-}
 
 /// Attempt number of the trial currently executing on this thread; set by
 /// for_each_controlled's retry loop so run_batch's journal body can record
@@ -141,100 +121,6 @@ std::uint64_t TrialSpec::derived_seed(std::uint64_t root) const {
   keys.push_back(root);
   keys.insert(keys.end(), seed_keys.begin(), seed_keys.end());
   return hash_seed(keys);
-}
-
-ExecutionResult run_trial(const PlanTrialSpec& spec, std::uint64_t seed,
-                          obs::TrialObs* obs) {
-  if (!spec.plan.feasible) return infeasible_result(spec.plan, obs);
-
-  const SeverityModel& severity =
-      cached_severity_model(spec.resilience.severity_weights);
-  if (trial_engine() == TrialEngine::kDirect) {
-    return run_plan_trial_direct(spec.plan, severity, spec.failure_distribution,
-                                 seed, obs);
-  }
-
-  Simulation sim;
-  ExecutionResult final_result;
-  bool finished = false;
-
-  ResilientAppRuntime runtime{
-      sim, spec.plan, derive_seed(seed, 0x72756e74696dULL), [&](const ExecutionResult& r) {
-        final_result = r;
-        finished = true;
-        sim.request_stop();
-      }};
-  runtime.set_observer(obs);
-
-  AppFailureProcess failures{
-      sim,
-      spec.plan.failure_rate,
-      severity,
-      spec.failure_distribution,
-      Pcg32{derive_seed(seed, 0x6661696c7321ULL)},
-      [&runtime](const Failure& f) { runtime.on_failure(f); }};
-
-  failures.start();
-  runtime.start();
-  sim.run();
-
-  XRES_CHECK(finished, "plan trial ended without a completion callback");
-  record_trial_metrics(obs, final_result, sim.events_processed());
-  return final_result;
-}
-
-ExecutionResult run_trial(const TraceTrialSpec& spec, std::uint64_t seed,
-                          obs::TrialObs* obs) {
-  // Severity is already baked into the trace; spec.resilience is kept for
-  // API symmetry and future runtime knobs.
-  if (!spec.plan.feasible) return infeasible_result(spec.plan, obs);
-
-  if (trial_engine() == TrialEngine::kDirect) {
-    return run_trace_trial_direct(spec.plan, spec.trace, seed, obs);
-  }
-
-  Simulation sim;
-  ExecutionResult final_result;
-  bool finished = false;
-
-  ResilientAppRuntime runtime{
-      sim, spec.plan, derive_seed(seed, 0x72756e74696dULL), [&](const ExecutionResult& r) {
-        final_result = r;
-        finished = true;
-        sim.request_stop();
-      }};
-  runtime.set_observer(obs);
-
-  TraceFailureProcess failures{sim, spec.trace,
-                               [&runtime](const Failure& f) { runtime.on_failure(f); }};
-  failures.start();
-  runtime.start();
-  sim.run();
-
-  XRES_CHECK(finished, "trace trial ended without a completion callback");
-  record_trial_metrics(obs, final_result, sim.events_processed());
-  return final_result;
-}
-
-ExecutionResult run_trial(const SingleAppTrialConfig& config, std::uint64_t seed,
-                          obs::TrialObs* obs) {
-  // The plan cache makes the planner (the multilevel optimizer especially)
-  // a once-per-worker-per-cell cost instead of a per-trial one.
-  const ExecutionPlan& plan = cached_plan(config);
-  if (!plan.feasible) return infeasible_result(plan, obs);
-
-  const SeverityModel& severity =
-      cached_severity_model(config.resilience.severity_weights);
-  if (trial_engine() == TrialEngine::kDirect) {
-    return run_plan_trial_direct(plan, severity, config.failure_distribution,
-                                 seed, obs);
-  }
-
-  PlanTrialSpec spec;
-  spec.plan = plan;
-  spec.resilience = config.resilience;
-  spec.failure_distribution = config.failure_distribution;
-  return run_trial(spec, seed, obs);
 }
 
 ExecutionResult run_trial(const TrialSpec& spec, std::uint64_t root_seed,
@@ -445,7 +331,6 @@ std::vector<ExecutionResult> TrialExecutor::run_batch(
   control.progress = progress;
   control.trial_timeout_seconds = rec.trial_timeout_seconds;
   control.trial_attempts = rec.trial_attempts;
-  control.drain_on_shutdown = rec.drain_on_shutdown;
 
   if (rec.resume != nullptr) {
     control.already_done = [&](std::size_t i) {

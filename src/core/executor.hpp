@@ -99,9 +99,10 @@ struct TrialSpec {
   [[nodiscard]] std::uint64_t derived_seed(std::uint64_t root) const;
 };
 
-/// Run one trial with the given (already derived) seed. Infeasible plans
-/// (redundancy larger than the machine) return a zero-efficiency result
-/// without simulating, as in the paper's zero-height bars.
+/// Run one trial with the given (already derived) seed, on the single-app
+/// trial engine (core/trial_engine.hpp). Infeasible plans (redundancy
+/// larger than the machine) return a zero-efficiency result without
+/// simulating, as in the paper's zero-height bars.
 ///
 /// \p obs (optional, may be null) collects the trial's metrics and/or
 /// sim-time trace; it must be single-threaded for the trial's duration.

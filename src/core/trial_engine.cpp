@@ -1,12 +1,9 @@
 #include "core/trial_engine.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <optional>
-#include <string_view>
-#include <utility>
+#include <string>
 
-#include "failure/replay.hpp"
+#include "failure/process.hpp"
 #include "failure/trace.hpp"
 #include "obs/perf.hpp"
 #include "resilience/planner.hpp"
@@ -17,43 +14,6 @@
 #include "util/log.hpp"
 
 namespace xres {
-
-namespace {
-
-/// -1: no override (use the environment); otherwise a TrialEngine value.
-std::atomic<int> g_engine_override{-1};
-
-TrialEngine engine_from_env() {
-  const char* value = std::getenv("XRES_TRIAL_ENGINE");
-  if (value == nullptr) return TrialEngine::kDirect;  // auto
-  const std::string_view v{value};
-  if (v == "event") return TrialEngine::kEvent;
-  if (v == "direct" || v == "auto" || v.empty()) return TrialEngine::kDirect;
-  XRES_LOG_WARN("unknown XRES_TRIAL_ENGINE '" + std::string{v} +
-                "' (expected event|direct|auto); using auto");
-  return TrialEngine::kDirect;
-}
-
-/// The three direct event sources, in the tag order used for tie-breaking
-/// bookkeeping only (ordering is always by (time, seq)).
-enum class DirectEvent { kNone, kFailure, kTimeout, kPhase };
-
-}  // namespace
-
-TrialEngine trial_engine() {
-  const int override = g_engine_override.load(std::memory_order_relaxed);
-  if (override >= 0) return static_cast<TrialEngine>(override);
-  static const TrialEngine from_env = engine_from_env();
-  return from_env;
-}
-
-ScopedTrialEngine::ScopedTrialEngine(TrialEngine engine)
-    : previous_{g_engine_override.exchange(static_cast<int>(engine),
-                                           std::memory_order_relaxed)} {}
-
-ScopedTrialEngine::~ScopedTrialEngine() {
-  g_engine_override.store(previous_, std::memory_order_relaxed);
-}
 
 void record_trial_metrics(obs::TrialObs* obs, const ExecutionResult& r,
                           std::uint64_t sim_events) {
@@ -131,37 +91,134 @@ const ExecutionPlan& cached_plan(const SingleAppTrialConfig& config) {
 
 namespace {
 
-/// The shared virtual pop + dispatch loop. \p next_failure_time/seq/pending
-/// describe the driver's failure stream slot; \p fire_failure dispatches it
-/// (and re-arms it for the lazy generated stream). Mirrors Simulation::run:
-/// watchdog poll every 4096 events *before* the pop, clock advanced to the
-/// popped event's time, loop exit on request_stop or a drained "queue".
-template <typename FailureSlot, typename FireFailure>
+ExecutionResult infeasible_result(const ExecutionPlan& plan, obs::TrialObs* obs) {
+  ExecutionResult result;
+  result.completed = false;
+  result.baseline = plan.baseline;
+  result.efficiency = 0.0;
+  if (obs != nullptr) {
+    const obs::BuiltinMetrics& m = obs::builtin_metrics();
+    obs->count(m.trials_run);
+    obs->count(m.trials_infeasible);
+  }
+  return result;
+}
+
+// A failure source is what the trial driver merges with the runtime's
+// slots: arm() runs once before the runtime starts, peek() reports the
+// pending failure's (time, seq), and fire() delivers it.
+
+/// Failures drawn lazily in AppFailureProcess's exact RNG order: the first
+/// gap when armed, then per delivery a severity sample followed by the next
+/// gap. Each gap consumes one insertion seq, as its queued event would.
+class DrawnFailures {
+ public:
+  DrawnFailures(Rate rate, const SeverityModel& severity,
+                const FailureDistribution& dist, std::uint64_t seed)
+      : rate_{rate},
+        severity_{severity},
+        dist_{dist},
+        rng_{derive_seed(seed, kFailureSeedTag)} {}
+
+  void arm(const Simulation& sim, DirectHost& host) { draw_next(sim, host); }
+
+  bool peek(TimePoint& when, std::uint64_t& seq) const {
+    if (!pending_) return false;
+    when = time_;
+    seq = seq_;
+    return true;
+  }
+
+  Failure fire(const Simulation& sim, DirectHost& host) {
+    pending_ = false;
+    const Failure failure{sim.now(), severity_.sample(rng_)};
+    draw_next(sim, host);
+    return failure;
+  }
+
+ private:
+  void draw_next(const Simulation& sim, DirectHost& host) {
+    const Duration gap = dist_.draw(rng_, rate_);
+    if (!gap.is_finite()) return;  // zero rate: no failures ever
+    time_ = sim.now() + gap;
+    seq_ = host.next_seq++;
+    pending_ = true;
+  }
+
+  Rate rate_;
+  const SeverityModel& severity_;
+  const FailureDistribution& dist_;
+  Pcg32 rng_;
+  bool pending_{false};
+  TimePoint time_{};
+  std::uint64_t seq_{0};
+};
+
+/// Failures replayed from a trace. TraceFailureProcess::start() schedules
+/// every replayed failure up front in trace order, consuming insertion
+/// seqs 0..n-1 before the runtime's timeout/phase events; past-time
+/// failures are skipped and consume none.
+class ReplayedFailures {
+ public:
+  explicit ReplayedFailures(const FailureTrace& trace) : failures_{trace.failures()} {}
+
+  void arm(const Simulation& sim, DirectHost& host) {
+    while (next_ < failures_.size() && failures_[next_].time < sim.now()) ++next_;
+    skipped_ = next_;
+    if (skipped_ > 0) {
+      XRES_LOG_WARN("trace replay skipped " + std::to_string(skipped_) +
+                    " failures that predate the current simulation time");
+    }
+    host.next_seq = failures_.size() - skipped_;
+  }
+
+  bool peek(TimePoint& when, std::uint64_t& seq) const {
+    if (next_ >= failures_.size()) return false;
+    when = failures_[next_].time;
+    seq = next_ - skipped_;
+    return true;
+  }
+
+  Failure fire(const Simulation&, DirectHost&) { return failures_[next_++]; }
+
+ private:
+  const std::vector<Failure>& failures_;
+  std::size_t next_{0};
+  std::size_t skipped_{0};
+};
+
+/// The two slots that can interrupt a run of phase completions.
+enum class Interrupt { kNone, kFailure, kTimeout };
+
+/// The virtual pop + dispatch loop. Mirrors Simulation::run: watchdog poll
+/// every 4096 events *before* the pop, clock advanced to the popped event's
+/// time, loop exit on request_stop or a drained "queue".
+template <typename Failures>
 void run_direct_loop(Simulation& sim, ResilientAppRuntime& runtime, DirectHost& host,
-                     FailureSlot&& failure_slot, FireFailure&& fire_failure) {
+                     Failures& failures) {
   std::uint64_t executed = 0;
   while (!sim.stop_requested()) {
     // Merge the failure and timeout slots into the earliest "interrupt".
-    // Neither changes while phase events dispatch (a failure slot is only
-    // re-armed by fire_failure; the timeout is cancelled only on paths that
-    // also request_stop), so the steady-state work/checkpoint alternation
-    // below re-checks just one (time, seq) bound per event.
-    DirectEvent interrupt = DirectEvent::kNone;
+    // Neither changes while phase events dispatch (the failure slot is only
+    // re-armed by fire(); the timeout is cancelled only on paths that also
+    // request_stop), so the steady-state work/checkpoint alternation below
+    // re-checks just one (time, seq) bound per event.
+    Interrupt interrupt = Interrupt::kNone;
     // +inf sentinel: phase events (always finite) sort before an absent
     // interrupt without a separate emptiness test in the drain condition.
     TimePoint int_time = TimePoint::origin() + Duration::infinity();
     std::uint64_t int_seq = 0;
     TimePoint fail_time{};
     std::uint64_t fail_seq = 0;
-    if (failure_slot(fail_time, fail_seq)) {
-      interrupt = DirectEvent::kFailure;
+    if (failures.peek(fail_time, fail_seq)) {
+      interrupt = Interrupt::kFailure;
       int_time = fail_time;
       int_seq = fail_seq;
     }
     if (host.timeout_pending &&
-        (interrupt == DirectEvent::kNone || host.timeout_time < int_time ||
+        (interrupt == Interrupt::kNone || host.timeout_time < int_time ||
          (host.timeout_time == int_time && host.timeout_seq < int_seq))) {
-      interrupt = DirectEvent::kTimeout;
+      interrupt = Interrupt::kTimeout;
       int_time = host.timeout_time;
       int_seq = host.timeout_seq;
     }
@@ -174,39 +231,39 @@ void run_direct_loop(Simulation& sim, ResilientAppRuntime& runtime, DirectHost& 
         deadline_poll();
       }
       sim.advance_direct(host.phase_time);
-      runtime.dispatch_phase_direct();
+      host.phase_pending = false;
+      runtime.dispatch_phase();
       ++executed;
       if (sim.stop_requested()) return;
     }
 
-    if (interrupt == DirectEvent::kNone) break;
+    if (interrupt == Interrupt::kNone) break;
     if ((executed & 0xFFFU) == 0) {
       sim.count_watchdog_poll();
       deadline_poll();
     }
     sim.advance_direct(int_time);
-    if (interrupt == DirectEvent::kFailure) {
-      fire_failure();
+    if (interrupt == Interrupt::kFailure) {
+      runtime.on_failure(failures.fire(sim, host));
     } else {
-      runtime.dispatch_timeout_direct();
+      host.timeout_pending = false;
+      runtime.dispatch_timeout();
     }
     ++executed;
   }
 }
 
-}  // namespace
-
-ExecutionResult run_plan_trial_direct(const ExecutionPlan& plan,
-                                      const SeverityModel& severity,
-                                      const FailureDistribution& dist,
-                                      std::uint64_t seed, obs::TrialObs* obs) {
+/// Run one trial of a feasible plan against \p failures.
+template <typename Failures>
+ExecutionResult run_feasible_trial(const ExecutionPlan& plan, Failures failures,
+                                   std::uint64_t seed, obs::TrialObs* obs) {
   Simulation sim;
   ExecutionResult final_result;
   bool finished = false;
   DirectHost host;
 
   ResilientAppRuntime runtime{
-      sim, plan, derive_seed(seed, 0x72756e74696dULL), [&](const ExecutionResult& r) {
+      sim, plan, derive_seed(seed, kRuntimeSeedTag), [&](const ExecutionResult& r) {
         final_result = r;
         finished = true;
         sim.request_stop();
@@ -214,95 +271,49 @@ ExecutionResult run_plan_trial_direct(const ExecutionPlan& plan,
   runtime.set_observer(obs);
   runtime.attach_direct_host(&host);
 
-  // The failure stream, drawn lazily in AppFailureProcess's exact RNG
-  // order: the first gap before the runtime starts, then per delivery a
-  // severity sample followed by the next gap.
-  Pcg32 rng{derive_seed(seed, 0x6661696c7321ULL)};
-  bool fail_pending = false;
-  TimePoint fail_time{};
-  std::uint64_t fail_seq = 0;
-  const auto schedule_next_failure = [&] {
-    const Duration gap = dist.draw(rng, plan.failure_rate);
-    if (!gap.is_finite()) return;  // zero rate: no failures ever
-    fail_time = sim.now() + gap;
-    fail_seq = host.next_seq++;
-    fail_pending = true;
-  };
-
-  schedule_next_failure();  // AppFailureProcess::start()
+  failures.arm(sim, host);
   runtime.start();
+  run_direct_loop(sim, runtime, host, failures);
 
-  run_direct_loop(
-      sim, runtime, host,
-      [&](TimePoint& when, std::uint64_t& seq) {
-        if (!fail_pending) return false;
-        when = fail_time;
-        seq = fail_seq;
-        return true;
-      },
-      [&] {
-        fail_pending = false;
-        const Failure failure{sim.now(), severity.sample(rng)};
-        schedule_next_failure();
-        runtime.on_failure(failure);
-      });
-
-  XRES_CHECK(finished, "plan trial ended without a completion callback");
+  XRES_CHECK(finished, "trial ended without a completion callback");
   obs::perf_add_batched_trials(1);
   record_trial_metrics(obs, final_result, sim.events_processed());
   return final_result;
 }
 
-ExecutionResult run_trace_trial_direct(const ExecutionPlan& plan,
-                                       const FailureTrace& trace, std::uint64_t seed,
-                                       obs::TrialObs* obs) {
-  Simulation sim;
-  ExecutionResult final_result;
-  bool finished = false;
-  DirectHost host;
+}  // namespace
 
-  ResilientAppRuntime runtime{
-      sim, plan, derive_seed(seed, 0x72756e74696dULL), [&](const ExecutionResult& r) {
-        final_result = r;
-        finished = true;
-        sim.request_stop();
-      }};
-  runtime.set_observer(obs);
-  runtime.attach_direct_host(&host);
+ExecutionResult run_trial(const PlanTrialSpec& spec, std::uint64_t seed,
+                          obs::TrialObs* obs) {
+  if (!spec.plan.feasible) return infeasible_result(spec.plan, obs);
+  return run_feasible_trial(
+      spec.plan,
+      DrawnFailures{spec.plan.failure_rate,
+                    cached_severity_model(spec.resilience.severity_weights),
+                    spec.failure_distribution, seed},
+      seed, obs);
+}
 
-  // TraceFailureProcess::start() schedules every replayed failure up front
-  // in trace order, consuming insertion seqs 0..n-1 before the runtime's
-  // timeout/phase events; past-time failures are skipped and consume none.
-  const std::vector<Failure>& failures = trace.failures();
-  std::size_t next = 0;
-  while (next < failures.size() && failures[next].time < sim.now()) ++next;
-  const std::size_t skipped = next;
-  if (skipped > 0) {
-    XRES_LOG_WARN("trace replay skipped " + std::to_string(skipped) +
-                  " failures that predate the current simulation time");
-  }
-  host.next_seq = failures.size() - skipped;
+ExecutionResult run_trial(const TraceTrialSpec& spec, std::uint64_t seed,
+                          obs::TrialObs* obs) {
+  // Severity is already baked into the trace; spec.resilience is kept for
+  // API symmetry and future runtime knobs.
+  if (!spec.plan.feasible) return infeasible_result(spec.plan, obs);
+  return run_feasible_trial(spec.plan, ReplayedFailures{spec.trace}, seed, obs);
+}
 
-  runtime.start();
-
-  run_direct_loop(
-      sim, runtime, host,
-      [&](TimePoint& when, std::uint64_t& seq) {
-        if (next >= failures.size()) return false;
-        when = failures[next].time;
-        seq = next - skipped;
-        return true;
-      },
-      [&] {
-        const Failure& failure = failures[next];
-        ++next;
-        runtime.on_failure(failure);
-      });
-
-  XRES_CHECK(finished, "trace trial ended without a completion callback");
-  obs::perf_add_batched_trials(1);
-  record_trial_metrics(obs, final_result, sim.events_processed());
-  return final_result;
+ExecutionResult run_trial(const SingleAppTrialConfig& config, std::uint64_t seed,
+                          obs::TrialObs* obs) {
+  // The plan cache makes the planner (the multilevel optimizer especially)
+  // a once-per-worker-per-cell cost instead of a per-trial one.
+  const ExecutionPlan& plan = cached_plan(config);
+  if (!plan.feasible) return infeasible_result(plan, obs);
+  return run_feasible_trial(
+      plan,
+      DrawnFailures{plan.failure_rate,
+                    cached_severity_model(config.resilience.severity_weights),
+                    config.failure_distribution, seed},
+      seed, obs);
 }
 
 }  // namespace xres

@@ -1,32 +1,24 @@
 #pragma once
 
 /// \file trial_engine.hpp
-/// Trial execution engines.
+/// The single-application trial engine behind `run_trial`
+/// (core/executor.hpp).
 ///
-/// Every single-application trial can run on one of two engines:
-///
-///  * **event** — the reference path: failure process, phase completions
-///    and the wall-time cap are all events in the Simulation's queue
-///    (sim/event_queue.hpp), popped in (time, insertion-seq) order.
-///  * **direct** — the batched fast path: the trial driver owns the three
-///    pending events (next failure, phase completion, timeout) as plain
-///    slots, merges them by the same (time, seq) order with a shared
-///    virtual insertion counter (runtime/app_runtime.hpp `DirectHost`),
-///    and dispatches handlers through a closure-free switch. No queue
-///    traffic, no per-phase callback construction, no per-trial
-///    SeverityModel or plan rebuild (thread-local caches) — while every
-///    observable (results, metrics including `sim_events`, traces, RNG
-///    draw order, watchdog-poll timing) is byte-identical to the event
-///    path. The differential harness (tests/surrogate_diff_test.cpp) and
-///    tier-1's determinism stage enforce that equivalence.
-///
-/// Selection: `XRES_TRIAL_ENGINE=event|direct|auto` (default `auto`, which
-/// runs direct whenever the trial is eligible — all `run_trial` work kinds
-/// are; multi-app simulations with shared PFS services always use the
-/// event engine). Tests pin the engine programmatically with
-/// `ScopedTrialEngine`.
+/// One driver runs every work kind; only its failure source differs
+/// (drawn from the plan's failure distribution, or replayed from a
+/// trace). The driver owns the trial's three pending events (next
+/// failure, phase completion, wall-time cap) as plain slots, merges them
+/// in (time, insertion-seq) order with one virtual insertion counter
+/// (runtime/app_runtime.hpp `DirectHost`), and dispatches them without an
+/// event queue. That is the order a Simulation queue gives the same trial
+/// built from AppFailureProcess or TraceFailureProcess and a queued
+/// runtime, so every observable (results, metrics including `sim_events`,
+/// traces, RNG draw order, watchdog-poll timing) matches it byte for
+/// byte. tests/surrogate_diff_test.cpp builds that queued trial as its
+/// reference and fails on any drift.
 
 #include <cstdint>
+#include <vector>
 
 #include "core/executor.hpp"
 #include "failure/severity.hpp"
@@ -35,46 +27,16 @@
 
 namespace xres {
 
-enum class TrialEngine { kEvent, kDirect };
-
-/// The engine selected by XRES_TRIAL_ENGINE (or a live ScopedTrialEngine
-/// override). Unknown values fall back to the default (`auto` → direct).
-[[nodiscard]] TrialEngine trial_engine();
-
-/// Pin the trial engine for a scope (tests, the differential harness).
-/// Overrides nest; destruction restores the previous selection. The
-/// override is process-global: study drivers fan trials across worker
-/// threads and the whole batch must run one engine.
-class ScopedTrialEngine {
- public:
-  explicit ScopedTrialEngine(TrialEngine engine);
-  ~ScopedTrialEngine();
-
-  ScopedTrialEngine(const ScopedTrialEngine&) = delete;
-  ScopedTrialEngine& operator=(const ScopedTrialEngine&) = delete;
-
- private:
-  int previous_;
-};
-
-/// Run one plan trial on the direct engine. \p plan must be feasible.
-[[nodiscard]] ExecutionResult run_plan_trial_direct(const ExecutionPlan& plan,
-                                                    const SeverityModel& severity,
-                                                    const FailureDistribution& dist,
-                                                    std::uint64_t seed,
-                                                    obs::TrialObs* obs);
-
-/// Run one trace-replay trial on the direct engine. \p plan must be
-/// feasible.
-[[nodiscard]] ExecutionResult run_trace_trial_direct(const ExecutionPlan& plan,
-                                                     const FailureTrace& trace,
-                                                     std::uint64_t seed,
-                                                     obs::TrialObs* obs);
+/// Seed tags of a trial with seed `s`: its runtime runs on
+/// `derive_seed(s, kRuntimeSeedTag)` and its drawn failure stream on
+/// `derive_seed(s, kFailureSeedTag)`.
+inline constexpr std::uint64_t kRuntimeSeedTag = 0x72756e74696dULL;
+inline constexpr std::uint64_t kFailureSeedTag = 0x6661696c7321ULL;
 
 /// Fold one finished trial into its observer: counters/gauges from the
 /// ExecutionResult plus the trial-shape histograms, including the exact
-/// executed-event count (identical on both engines by construction).
-/// Shared by both engines so the recorded metrics agree byte for byte.
+/// executed-event count. Shared with the differential test's queued
+/// reference so the recorded metrics agree byte for byte.
 void record_trial_metrics(obs::TrialObs* obs, const ExecutionResult& r,
                           std::uint64_t sim_events);
 

@@ -75,7 +75,6 @@ std::vector<WorkloadComboResult> run_workload_study(
   control.progress = progress;
   control.trial_timeout_seconds = rec.trial_timeout_seconds;
   control.trial_attempts = rec.trial_attempts;
-  control.drain_on_shutdown = rec.drain_on_shutdown;
   if (rec.resume != nullptr) {
     control.already_done = [&](std::size_t idx) {
       const recovery::JournalRecord* record = rec.resume->find(kBatch, idx);

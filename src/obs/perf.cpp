@@ -13,6 +13,7 @@ namespace {
 struct GlobalCounters {
   std::atomic<std::uint64_t> events_scheduled{0};
   std::atomic<std::uint64_t> events_popped{0};
+  std::atomic<std::uint64_t> events_executed{0};
   std::atomic<std::uint64_t> events_cancelled{0};
   std::atomic<std::uint64_t> heap_compactions{0};
   std::atomic<std::uint64_t> watchdog_polls{0};
@@ -40,7 +41,8 @@ void perf_add_engine(std::uint64_t scheduled, std::uint64_t popped,
   if (compactions != 0) g_counters.heap_compactions.fetch_add(compactions, kRelaxed);
 }
 
-void perf_add_watchdog_polls(std::uint64_t polls) {
+void perf_add_simulation(std::uint64_t events, std::uint64_t polls) {
+  if (events != 0) g_counters.events_executed.fetch_add(events, kRelaxed);
   if (polls != 0) g_counters.watchdog_polls.fetch_add(polls, kRelaxed);
 }
 
@@ -71,6 +73,7 @@ PerfCounters perf_snapshot() {
   PerfCounters out;
   out.events_scheduled = g_counters.events_scheduled.load(kRelaxed);
   out.events_popped = g_counters.events_popped.load(kRelaxed);
+  out.events_executed = g_counters.events_executed.load(kRelaxed);
   out.events_cancelled = g_counters.events_cancelled.load(kRelaxed);
   out.heap_compactions = g_counters.heap_compactions.load(kRelaxed);
   out.watchdog_polls = g_counters.watchdog_polls.load(kRelaxed);
@@ -90,6 +93,7 @@ PerfCounters perf_delta(const PerfCounters& since) {
   PerfCounters out;
   out.events_scheduled = now.events_scheduled - since.events_scheduled;
   out.events_popped = now.events_popped - since.events_popped;
+  out.events_executed = now.events_executed - since.events_executed;
   out.events_cancelled = now.events_cancelled - since.events_cancelled;
   out.heap_compactions = now.heap_compactions - since.heap_compactions;
   out.watchdog_polls = now.watchdog_polls - since.watchdog_polls;
@@ -110,6 +114,7 @@ std::vector<std::pair<std::string, std::uint64_t>> perf_counter_items(
   return {
       {"events_scheduled", counters.events_scheduled},
       {"events_popped", counters.events_popped},
+      {"events_executed", counters.events_executed},
       {"events_cancelled", counters.events_cancelled},
       {"heap_compactions", counters.heap_compactions},
       {"watchdog_polls", counters.watchdog_polls},

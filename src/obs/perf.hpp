@@ -23,7 +23,11 @@ namespace xres::obs {
 /// One coherent reading of every global counter.
 struct PerfCounters {
   std::uint64_t events_scheduled{0};
+  /// Event-queue pops (multi-app workloads; single-app trials never pop).
   std::uint64_t events_popped{0};
+  /// Simulation events executed, popped from the queue or dispatched
+  /// directly: Simulation::events_processed() summed over every simulation.
+  std::uint64_t events_executed{0};
   std::uint64_t events_cancelled{0};
   std::uint64_t heap_compactions{0};
   std::uint64_t watchdog_polls{0};
@@ -32,8 +36,9 @@ struct PerfCounters {
   std::uint64_t trials_resumed{0};
   std::uint64_t trials_retried{0};
   std::uint64_t trials_quarantined{0};
-  /// Trials executed on the direct (batched) engine — a subset of
-  /// trials_executed (core/trial_engine.hpp).
+  /// Single-app trials simulated by the trial engine
+  /// (core/trial_engine.hpp). Infeasible plans, which are not simulated,
+  /// and workload pattern runs are not counted.
   std::uint64_t batched_trials{0};
   /// Study cells answered by the analytic surrogate without simulating
   /// (resilience/surrogate.hpp) / cells where the error bound forced a
@@ -46,8 +51,9 @@ struct PerfCounters {
 void perf_add_engine(std::uint64_t scheduled, std::uint64_t popped,
                      std::uint64_t cancelled, std::uint64_t compactions);
 
-/// Flush one simulation's watchdog-poll tally (called from ~Simulation).
-void perf_add_watchdog_polls(std::uint64_t polls);
+/// Flush one simulation's executed-event and watchdog-poll tallies (called
+/// from ~Simulation).
+void perf_add_simulation(std::uint64_t events, std::uint64_t polls);
 
 /// Count one journal fsync batch (called at each successful flush_to_disk).
 void perf_add_journal_fsync();
@@ -56,7 +62,7 @@ void perf_add_journal_fsync();
 void perf_add_trials(std::uint64_t executed, std::uint64_t resumed,
                      std::uint64_t retried, std::uint64_t quarantined);
 
-/// Flush trials executed on the direct (batched) engine.
+/// Flush trials simulated by the single-app trial engine.
 void perf_add_batched_trials(std::uint64_t count);
 
 /// Count surrogate-answered cells and bound-exceeded fallbacks.

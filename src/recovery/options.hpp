@@ -30,9 +30,6 @@ struct TrialRecoveryOptions {
   /// quarantine-on-exhaustion engages only when attempts > 1 or a watchdog
   /// timeout is armed.
   unsigned trial_attempts{1};
-  /// Drain in-flight trials and stop on SIGINT/SIGTERM (the flag only has
-  /// an effect when install_shutdown_handlers() was called).
-  bool drain_on_shutdown{true};
 
   /// True when any non-default behavior is requested.
   [[nodiscard]] bool active() const {

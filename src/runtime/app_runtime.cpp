@@ -96,8 +96,10 @@ void ResilientAppRuntime::start() {
       direct_->timeout_seq = direct_->next_seq++;
       direct_->timeout_pending = true;
     } else {
-      timeout_event_ =
-          sim_.schedule_after(plan_.max_wall_time, [this] { abort_on_timeout(); });
+      timeout_event_ = sim_.schedule_after(plan_.max_wall_time, [this] {
+        has_timeout_ = false;
+        dispatch_timeout();
+      });
       has_timeout_ = true;
     }
   }
@@ -122,41 +124,6 @@ void ResilientAppRuntime::attach_direct_host(DirectHost* host) {
   direct_ = host;
 }
 
-void ResilientAppRuntime::schedule_phase_direct(Duration nominal) {
-  // No pending-phase check: every schedule_phase_direct call is reached
-  // from a dispatch (or start) that just cleared the slot, and the event
-  // path's schedule_phase keeps the guarded equivalent.
-  // Same arithmetic as schedule_after: the completion time is bit-identical
-  // to what the event queue would have stored and popped.
-  direct_->phase_time = sim_.now() + nominal;
-  direct_->phase_seq = direct_->next_seq++;
-  direct_->phase_pending = true;
-}
-
-void ResilientAppRuntime::dispatch_phase_direct() {
-  direct_->phase_pending = false;
-  // The Duration arguments exist for the event path's lambdas; every
-  // handler ignores them (elapsed time is re-derived from phase_start_),
-  // so the direct dispatch passes zero instead of reloading plan data.
-  switch (phase_) {
-    case Phase::kWorking: on_segment_done(phase_arg_); break;
-    case Phase::kCheckpointing:
-      on_checkpoint_done(phase_level_, Duration::zero());
-      break;
-    case Phase::kRestarting: on_restart_done(Duration::zero()); break;
-    case Phase::kRecovering: on_recovery_done(Duration::zero()); break;
-    case Phase::kIdle:
-    case Phase::kDone:
-    case Phase::kAborted:
-      XRES_CHECK(false, "direct phase dispatch outside an executing phase");
-  }
-}
-
-void ResilientAppRuntime::dispatch_timeout_direct() {
-  direct_->timeout_pending = false;
-  abort_on_timeout();
-}
-
 void ResilientAppRuntime::cancel_pending() {
   if (direct_ != nullptr) {
     direct_->phase_pending = false;
@@ -171,16 +138,11 @@ void ResilientAppRuntime::cancel_pending() {
   has_pending_ = false;
 }
 
-void ResilientAppRuntime::schedule_phase(Duration nominal, bool shared_pfs,
-                                         EventCallback done) {
+void ResilientAppRuntime::queue_phase(Duration nominal, bool shared_pfs) {
   XRES_CHECK(!has_pending_, "phase scheduled while another is pending");
-  // The handler is moved to a local before running: `done` re-enters
-  // schedule_phase for the next phase, which repopulates phase_done_.
-  phase_done_ = std::move(done);
-  auto wrapped = [this] {
+  auto done = [this] {
     has_pending_ = false;
-    EventCallback handler = std::move(phase_done_);
-    handler();
+    dispatch_phase();
   };
   if (shared_pfs && pfs_device_ != nullptr) {
     if (obs_ != nullptr) obs_->count(obs::builtin_metrics().pfs_phases);
@@ -190,10 +152,10 @@ void ResilientAppRuntime::schedule_phase(Duration nominal, bool shared_pfs,
     request.nominal = nominal;
     request.bytes = plan_.levels[phase_level_].pfs_bytes;
     request.rate_cap = plan_.levels[phase_level_].pfs_rate_cap;
-    pending_transfer_ = pfs_device_->begin_transfer(request, std::move(wrapped));
+    pending_transfer_ = pfs_device_->begin_transfer(request, done);
     pending_is_transfer_ = true;
   } else {
-    pending_ = sim_.schedule_after(nominal, std::move(wrapped));
+    pending_ = sim_.schedule_after(nominal, done);
     pending_is_transfer_ = false;
   }
   has_pending_ = true;
@@ -287,13 +249,8 @@ void ResilientAppRuntime::enter_working() {
   const Duration target = std::min(next_checkpoint_at_, plan_.work_target);
   const Duration length = target - progress_;
   XRES_CHECK(length > Duration::zero(), "empty work segment");
-  if (direct_ != nullptr) {
-    phase_arg_ = target;
-    schedule_phase_direct(length);
-    return;
-  }
-  schedule_phase(length, /*shared_pfs=*/false,
-                 [this, target] { on_segment_done(target); });
+  phase_arg_ = target;
+  schedule_phase(length, /*shared_pfs=*/false);
 }
 
 void ResilientAppRuntime::on_segment_done(Duration target) {
@@ -320,15 +277,10 @@ void ResilientAppRuntime::enter_checkpointing() {
   const CheckpointLevelSpec& level = plan_.levels[idx];
   phase_level_ = idx;
   phase_pfs_ = level.uses_shared_pfs;
-  if (direct_ != nullptr) {
-    schedule_phase_direct(level.save_cost);
-    return;
-  }
-  schedule_phase(level.save_cost, level.uses_shared_pfs,
-                 [this, idx] { on_checkpoint_done(idx, plan_.levels[idx].save_cost); });
+  schedule_phase(level.save_cost, level.uses_shared_pfs);
 }
 
-void ResilientAppRuntime::on_checkpoint_done(std::size_t level_index, Duration) {
+void ResilientAppRuntime::on_checkpoint_done(std::size_t level_index) {
   const Duration elapsed = sim_.now() - phase_start_;
   accrue_known(elapsed, result_.time_checkpointing, SpanKind::kCheckpoint,
                active_normal_nodes_);
@@ -387,15 +339,10 @@ void ResilientAppRuntime::enter_restarting(std::size_t level_index, Duration res
   phase_level_ = level_index;
   phase_pfs_ = shared_pfs;
   if (obs_ != nullptr) obs_->count(obs::builtin_metrics().restarts);
-  if (direct_ != nullptr) {
-    schedule_phase_direct(restore_cost);
-    return;
-  }
-  schedule_phase(restore_cost, shared_pfs,
-                 [this, restore_cost] { on_restart_done(restore_cost); });
+  schedule_phase(restore_cost, shared_pfs);
 }
 
-void ResilientAppRuntime::on_restart_done(Duration) {
+void ResilientAppRuntime::on_restart_done() {
   accrue_known(sim_.now() - phase_start_, result_.time_restarting,
                SpanKind::kRestart, active_normal_nodes_);
   enter_working();
@@ -411,15 +358,10 @@ void ResilientAppRuntime::enter_recovering(Duration lost_work) {
                             lost_work / plan_.recovery_parallelism;
   // Parallel recovery restores from in-memory partner copies, never the
   // shared PFS.
-  if (direct_ != nullptr) {
-    schedule_phase_direct(duration);
-    return;
-  }
-  schedule_phase(duration, /*shared_pfs=*/false,
-                 [this, duration] { on_recovery_done(duration); });
+  schedule_phase(duration, /*shared_pfs=*/false);
 }
 
-void ResilientAppRuntime::on_recovery_done(Duration) {
+void ResilientAppRuntime::on_recovery_done() {
   accrue_known(sim_.now() - phase_start_, result_.time_recovering,
                SpanKind::kRecovery, active_recovery_nodes_);
   recovery_lost_ = Duration::zero();
@@ -457,8 +399,7 @@ void ResilientAppRuntime::complete() {
   on_complete_(result_);
 }
 
-void ResilientAppRuntime::abort_on_timeout() {
-  has_timeout_ = false;
+void ResilientAppRuntime::dispatch_timeout() {
   if (finished()) return;
   accrue(sim_.now() - phase_start_);
   cancel_pending();

@@ -32,6 +32,7 @@
 #include "runtime/timeline.hpp"
 #include "sim/pfs_device.hpp"
 #include "sim/simulation.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace xres {
@@ -40,15 +41,16 @@ namespace obs {
 class TrialObs;
 }
 
-/// Direct-execution hand-off between a ResilientAppRuntime and the direct
-/// trial engine (core/trial_engine.cpp). Instead of scheduling its phase
-/// and timeout events into the Simulation's queue, a direct-attached
-/// runtime publishes them into these slots; the engine's dispatch loop
+/// Direct-execution hand-off between a ResilientAppRuntime and the
+/// single-app trial driver (core/trial_engine.cpp). Instead of scheduling
+/// its phase and timeout events into the Simulation's queue, a
+/// direct-attached runtime publishes them into these slots; the driver
 /// merges them with its own failure stream by (time, seq) — the exact total
-/// order the event queue would have produced. `next_seq` is the shared
-/// virtual insertion counter: every schedule action (failure gap, timeout,
-/// phase) consumes one in the same call order as the event path, so ties in
-/// time break identically.
+/// order the event queue would have produced — clears a slot, and calls
+/// dispatch_phase() / dispatch_timeout(). `next_seq` is the shared virtual
+/// insertion counter: every schedule action (failure gap, timeout, phase)
+/// consumes one in the same call order as the queued path, so ties in time
+/// break identically.
 struct DirectHost {
   TimePoint phase_time{};
   std::uint64_t phase_seq{0};
@@ -135,14 +137,16 @@ class ResilientAppRuntime {
   /// incompatible with a PFS device. \p host must outlive the runtime.
   void attach_direct_host(DirectHost* host);
 
-  /// Fire the pending phase-completion published in the direct host: clears
-  /// the pending flag and invokes the phase's completion handler, exactly
-  /// as the queued event's callback would. Only valid direct-attached with
-  /// a pending phase, at sim.now() == host->phase_time.
-  void dispatch_phase_direct();
+  /// Finish the pending phase: the one completion handler, a switch on the
+  /// current phase. The queued event (or PFS transfer) calls it after
+  /// clearing its pending flag; a direct host clears its phase slot, sets
+  /// the clock to the slot's time, then calls it. Inline (defined below the
+  /// class): a direct trial runs it once per simulated event.
+  void dispatch_phase();
 
-  /// Fire the pending wall-time-cap timeout published in the direct host.
-  void dispatch_timeout_direct();
+  /// Fire the wall-time cap, after the caller cleared its pending timeout
+  /// (queued event or direct slot).
+  void dispatch_timeout();
 
  private:
   void enter_working();
@@ -150,27 +154,37 @@ class ResilientAppRuntime {
   void enter_restarting(std::size_t level_index, Duration restore_cost, bool shared_pfs);
   void enter_recovering(Duration lost_work);
 
-  /// Schedule the current phase's completion: a plain timer, or a PFS
-  /// device transfer when the phase moves data through the file system and
-  /// a device is attached. \p done is parked in phase_done_ so the scheduled
-  /// closure captures only `this` (stays inline in SmallCallback's buffer).
-  void schedule_phase(Duration nominal, bool shared_pfs, EventCallback done);
+  /// Schedule the current phase's completion \p nominal from now: the
+  /// direct host's phase slot, or else queue_phase(). Every path ends in
+  /// dispatch_phase(). The slot write stays inline in the phase-entry
+  /// functions; the queued half is out of line.
+  void schedule_phase(Duration nominal, bool shared_pfs) {
+    if (direct_ != nullptr) {
+      // No pending-phase check: every call is reached from a dispatch (or
+      // start) that just cleared the slot. Same arithmetic as
+      // schedule_after: the completion time is bit-identical to what the
+      // event queue would have stored and popped.
+      direct_->phase_time = sim_.now() + nominal;
+      direct_->phase_seq = direct_->next_seq++;
+      direct_->phase_pending = true;
+      return;
+    }
+    queue_phase(nominal, shared_pfs);
+  }
 
-  /// Direct-mode counterpart of schedule_phase: publishes the completion
-  /// time into the host (no callback — dispatch_phase_direct() re-derives
-  /// the handler from phase_ and phase_arg_, so the hot loop never builds a
-  /// closure).
-  void schedule_phase_direct(Duration nominal);
+  /// schedule_phase without a direct host: a PFS device transfer when the
+  /// phase moves data through the file system and a device is attached, or
+  /// else a plain timer in the Simulation queue.
+  void queue_phase(Duration nominal, bool shared_pfs);
 
   /// Cancel the pending timeout if any (queue or direct).
   void cancel_timeout();
   void complete();
-  void abort_on_timeout();
 
-  void on_segment_done(Duration length);
-  void on_checkpoint_done(std::size_t level_index, Duration cost);
-  void on_restart_done(Duration cost);
-  void on_recovery_done(Duration duration);
+  void on_segment_done(Duration target);
+  void on_checkpoint_done(std::size_t level_index);
+  void on_restart_done();
+  void on_recovery_done();
 
   /// Book elapsed phase time into the result buckets + energy integral.
   void accrue(Duration elapsed);
@@ -255,8 +269,8 @@ class ResilientAppRuntime {
   obs::TrialObs* obs_{nullptr};
   DirectHost* direct_{nullptr};
 
-  /// kWorking's on_segment_done target in direct mode (the only handler
-  /// argument dispatch_phase_direct cannot re-derive from other state).
+  /// kWorking's on_segment_done target (the only handler argument
+  /// dispatch_phase cannot re-derive from other state).
   Duration phase_arg_{Duration::zero()};
 
   /// Checkpoint level driving the current Checkpointing/Restarting phase
@@ -268,12 +282,26 @@ class ResilientAppRuntime {
   PfsDevice::TransferId pending_transfer_{};
   bool pending_is_transfer_{false};
   bool has_pending_{false};
-  /// Completion handler of the in-flight phase (see schedule_phase).
-  EventCallback phase_done_;
   EventId timeout_event_{};
   bool has_timeout_{false};
 
   ExecutionResult result_{};
 };
+
+inline void ResilientAppRuntime::dispatch_phase() {
+  // Every handler re-derives the elapsed time from phase_start_; the only
+  // state a phase carries to its completion is phase_arg_ (working) and
+  // phase_level_ (checkpointing).
+  switch (phase_) {
+    case Phase::kWorking: on_segment_done(phase_arg_); break;
+    case Phase::kCheckpointing: on_checkpoint_done(phase_level_); break;
+    case Phase::kRestarting: on_restart_done(); break;
+    case Phase::kRecovering: on_recovery_done(); break;
+    case Phase::kIdle:
+    case Phase::kDone:
+    case Phase::kAborted:
+      XRES_CHECK(false, "phase dispatch outside an executing phase");
+  }
+}
 
 }  // namespace xres

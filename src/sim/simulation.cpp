@@ -6,7 +6,9 @@
 
 namespace xres {
 
-Simulation::~Simulation() { obs::perf_add_watchdog_polls(watchdog_polls_); }
+Simulation::~Simulation() {
+  obs::perf_add_simulation(events_processed_, watchdog_polls_);
+}
 
 EventId Simulation::schedule_at(TimePoint when, EventCallback callback) {
   XRES_CHECK(when >= now_, "cannot schedule an event in the past (t=" +

@@ -19,7 +19,8 @@ namespace xres {
 class Simulation {
  public:
   Simulation() = default;
-  /// Flushes the watchdog-poll tally into the process-global perf counters.
+  /// Flushes the executed-event and watchdog-poll tallies into the
+  /// process-global perf counters.
   ~Simulation();
 
   // The engine hands out raw pointers/references to itself; moving it would
@@ -56,9 +57,9 @@ class Simulation {
 
   /// Direct-execution support (core/trial_engine.hpp): advance the clock to
   /// \p when (>= now()) and credit one executed event, exactly as step()
-  /// would for a queued event firing at \p when. The direct trial engine
+  /// would for a queued event firing at \p when. The trial engine
   /// dispatches its events itself and uses this so events_processed() — and
-  /// every metric derived from it — stays byte-identical to the event path.
+  /// every metric derived from it — stays byte-identical to the queued path.
   /// Inline: this runs once per simulated event on the hot path.
   void advance_direct(TimePoint when) {
     now_ = when;

@@ -73,31 +73,6 @@ std::vector<ExecutionResult> ObsCollector::run_batch(const TrialExecutor& execut
                                                      std::uint64_t root_seed,
                                                      std::span<const TrialSpec> specs,
                                                      const std::string& label,
-                                                     const TrialProgress& progress) {
-  if (!options_.enabled()) return executor.run_batch(root_seed, specs, progress);
-
-  std::vector<obs::TrialObs> observers(specs.size());
-  for (obs::TrialObs& o : observers) {
-    if (options_.metrics()) o.enable_metrics();
-  }
-  if (options_.trace() && !observers.empty()) observers.front().enable_trace();
-  std::vector<ExecutionResult> results =
-      executor.run_batch(root_seed, specs, observers, progress);
-  if (options_.metrics()) {
-    if (!metrics_.has_value()) metrics_.emplace();
-    // Merge in spec order: byte-identical for every thread count.
-    for (const obs::TrialObs& o : observers) metrics_->merge(*o.metrics());
-  }
-  if (options_.trace() && !observers.empty()) {
-    trace_.add_track(label, std::move(*observers.front().trace()));
-  }
-  return results;
-}
-
-std::vector<ExecutionResult> ObsCollector::run_batch(const TrialExecutor& executor,
-                                                     std::uint64_t root_seed,
-                                                     std::span<const TrialSpec> specs,
-                                                     const std::string& label,
                                                      RecoveryCoordinator& coordinator,
                                                      const TrialProgress& progress) {
   recovery::BatchReport report;
@@ -178,7 +153,6 @@ void run_patterns_controlled(
   TrialLoopControl control;
   control.trial_timeout_seconds = rec.trial_timeout_seconds;
   control.trial_attempts = rec.trial_attempts;
-  control.drain_on_shutdown = rec.drain_on_shutdown;
   if (rec.resume != nullptr) {
     control.already_done = [&](std::size_t idx) {
       const recovery::JournalRecord* record = rec.resume->find(label, idx);

@@ -65,8 +65,8 @@ class RecoveryCoordinator {
 };
 
 /// Observed batch execution for drivers that drive TrialExecutor directly
-/// (the ablation/extension harnesses): a drop-in replacement for
-/// `executor.run_batch` that, when observation is requested, attaches one
+/// (the ablation/extension harnesses): `run_batch` runs a batch under a
+/// RecoveryCoordinator and, when observation is requested, attaches one
 /// observer per trial, merges metrics in spec order, and keeps trial 0 of
 /// each batch as a trace track named \p label. Call finish() once after
 /// the sweep to write the artifacts.
@@ -74,14 +74,8 @@ class ObsCollector {
  public:
   explicit ObsCollector(ObsOptions options) : options_{std::move(options)} {}
 
-  [[nodiscard]] std::vector<ExecutionResult> run_batch(
-      const TrialExecutor& executor, std::uint64_t root_seed,
-      std::span<const TrialSpec> specs, const std::string& label,
-      const TrialProgress& progress = {});
-
-  /// run_batch under a RecoveryCoordinator: \p label doubles as the journal
-  /// batch label (keep it stable across runs), and the batch's accounting
-  /// is absorbed into \p coordinator.
+  /// \p label doubles as the journal batch label (keep it stable across
+  /// runs), and the batch's accounting is absorbed into \p coordinator.
   [[nodiscard]] std::vector<ExecutionResult> run_batch(
       const TrialExecutor& executor, std::uint64_t root_seed,
       std::span<const TrialSpec> specs, const std::string& label,

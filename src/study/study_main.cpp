@@ -35,7 +35,7 @@ void finish_run_record(obs::RunRecord& record, const obs::PerfCounters& before,
     record.trials_per_second =
         static_cast<double>(delta.trials_executed) / record.wall_seconds;
     record.events_per_second =
-        static_cast<double>(delta.events_popped) / record.wall_seconds;
+        static_cast<double>(delta.events_executed) / record.wall_seconds;
   }
   record.peak_rss = obs::peak_rss_bytes();
   if (record.status == 0 && !metrics_path.empty()) {

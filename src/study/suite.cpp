@@ -297,7 +297,7 @@ int run_suite_cells(const std::string& tag, const std::vector<SuiteCell>& cells,
     suite_record.trials_per_second =
         static_cast<double>(suite_delta.trials_executed) / suite_wall;
     suite_record.events_per_second =
-        static_cast<double>(suite_delta.events_popped) / suite_wall;
+        static_cast<double>(suite_delta.events_executed) / suite_wall;
   }
   suite_record.peak_rss = obs::peak_rss_bytes();
   if (std::string manifest_text;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/ledger.hpp"
+#include "recovery/json_parse.hpp"
 #include "study/capture.hpp"
 #include "study/options.hpp"
 #include "study/registry.hpp"
@@ -263,9 +264,11 @@ struct LedgeredRun {
 };
 
 /// Run a small registry study exactly the way the suite does — status to
-/// stderr, stdout captured — with the ledger pointed at \p ledger_path.
+/// stderr, stdout captured — with the ledger pointed at \p ledger_path
+/// (and metrics written to \p metrics_path when non-empty).
 LedgeredRun run_ledgered(const study::StudyDefinition& def, unsigned threads,
-                         const std::string& ledger_path) {
+                         const std::string& ledger_path,
+                         const std::string& metrics_path = "") {
   const std::string base = temp_path("ledgered_" + def.name + "_t" +
                                      std::to_string(threads));
   study::ParamSet params{def};
@@ -273,6 +276,7 @@ LedgeredRun run_ledgered(const study::StudyDefinition& def, unsigned threads,
   study::HarnessOptions options = study::default_harness_options(def);
   options.threads = threads;
   options.ledger_path = ledger_path;
+  options.obs.metrics_path = metrics_path;
 
   LedgeredRun result;
   study::set_status_stream(stderr);
@@ -321,6 +325,38 @@ TEST(ObsLedger, EngineCountersThreadInvariantAndBannersDoNotLeak) {
   EXPECT_EQ(stats.valid_records, 2U);
   ASSERT_EQ(records.size(), 2U);
   EXPECT_EQ(records[0].counters, records[1].counters);
+}
+
+std::uint64_t counter_value(const obs::RunRecord& record, const std::string& name) {
+  for (const auto& [key, value] : record.counters) {
+    if (key == name) return value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+// Single-app trials dispatch their events without popping the queue:
+// `events_executed` must still count every one of them (the merged
+// `sim_events` metric), so the ledger's events/s is nonzero, while
+// `events_popped` keeps meaning queue pops.
+TEST(ObsLedger, EventsExecutedCountSingleAppTrials) {
+  const study::StudyDefinition* def =
+      study::StudyRegistry::instance().find("fig1_efficiency_a32");
+  ASSERT_NE(def, nullptr);
+  const std::string ledger = temp_path("ledger_events.jsonl");
+  const std::string metrics = temp_path("ledger_events.metrics.json");
+  std::remove(ledger.c_str());
+
+  const LedgeredRun run = run_ledgered(*def, 2, ledger, metrics);
+  ASSERT_EQ(run.exit_code, 0);
+  const std::uint64_t sim_events = recovery::parse_json(read_file(metrics))
+                                       .at("counters")
+                                       .at("sim_events")
+                                       .as_u64();
+  EXPECT_GT(sim_events, 0U);
+  EXPECT_EQ(counter_value(run.record, "events_executed"), sim_events);
+  EXPECT_EQ(counter_value(run.record, "events_popped"), 0U);
+  EXPECT_GT(run.record.events_per_second, 0.0);
 }
 
 }  // namespace

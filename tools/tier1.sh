@@ -3,8 +3,8 @@
 # rebuild the library + tests under ThreadSanitizer and run the executor
 # tests (the only concurrent code path) plus the event-queue oracle under
 # it. Also replays a small study twice (and across thread counts) and
-# requires byte-identical artifacts — the determinism contract the event
-# engine must uphold.
+# requires byte-identical artifacts — the determinism contract every
+# engine change must uphold.
 #
 #   tools/tier1.sh [build-dir] [tsan-build-dir]
 #
@@ -12,10 +12,11 @@
 # diff them against bench/BENCH_engine.baseline.json (>15% regression or a
 # batch-scaling collapse fails; see docs/PERFORMANCE.md for the policy and
 # baseline procedure). Set XRES_SMOKE_ALL=1 to additionally byte-compare
-# every registered study's artifacts across --threads 1 vs 2 and across
-# trial engines, and to run the full surrogate differential matrix (tier-1
-# ctest runs fast subsets; see tests/study_smoke_test.cpp and
-# tests/surrogate_diff_test.cpp). Each stage prints its wall time.
+# every registered study's artifacts across --threads 1 vs 2, and to run
+# the full differential matrix of the trial engine against its queued
+# reference and the surrogate (tier-1 ctest runs fast subsets; see
+# tests/study_smoke_test.cpp and tests/surrogate_diff_test.cpp). Each
+# stage prints its wall time.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -104,9 +105,7 @@ crash_resume_check() {
     echo "crash+resume ($tag): expected exit 75 (interrupted) or 0, got $rc" >&2
     return 1
   fi
-  # Resume under the event-queue engine: the journal was written by the
-  # default (direct) engine, so this pins cross-engine resume identity too.
-  XRES_TRIAL_ENGINE=event "$xres_bin" "${args[@]}" --journal "$dir/j2.jsonl" \
+  "$xres_bin" "${args[@]}" --journal "$dir/j2.jsonl" \
     --resume --metrics "$dir/resumed2.json" > /dev/null
   cmp "$dir/golden.json" "$dir/resumed2.json"
   echo "crash+resume ($tag): OK (SIGTERM exit $rc)"
@@ -118,7 +117,7 @@ stage_done crash-resume
 # Determinism golden check: the same seeded study must produce byte-for-byte
 # identical report, metrics and trace on a repeat run, and the report +
 # metrics must not depend on the worker-thread count. This is the replay
-# contract every event-engine change has to preserve.
+# contract every engine change has to preserve.
 determinism_check() {
   local dir="$OBS_TMP/determinism"
   mkdir -p "$dir"
@@ -129,12 +128,6 @@ determinism_check() {
     --metrics "$dir/m1b.json" --trace "$dir/t1b.json" > "$dir/r1b.txt"
   "$BUILD"/tools/xres "${args[@]}" --threads 4 \
     --metrics "$dir/m4.json" > "$dir/r4.txt"
-  # Engine matrix: the unbatched event-queue engine must reproduce the
-  # default (direct) engine's bytes at both thread counts.
-  XRES_TRIAL_ENGINE=event "$BUILD"/tools/xres "${args[@]}" --threads 1 \
-    --metrics "$dir/me1.json" --trace "$dir/te1.json" > "$dir/re1.txt"
-  XRES_TRIAL_ENGINE=event "$BUILD"/tools/xres "${args[@]}" --threads 4 \
-    --metrics "$dir/me4.json" > "$dir/re4.txt"
   # The reports differ only in the artifact-path lines (the file names are
   # different by construction); the artifact bytes themselves are compared
   # with cmp below.
@@ -142,19 +135,12 @@ determinism_check() {
   "${filter[@]}" "$dir/r1a.txt" > "$dir/r1a-clean.txt"
   "${filter[@]}" "$dir/r1b.txt" > "$dir/r1b-clean.txt"
   "${filter[@]}" "$dir/r4.txt" > "$dir/r4-clean.txt"
-  "${filter[@]}" "$dir/re1.txt" > "$dir/re1-clean.txt"
-  "${filter[@]}" "$dir/re4.txt" > "$dir/re4-clean.txt"
   cmp "$dir/r1a-clean.txt" "$dir/r1b-clean.txt"
   cmp "$dir/m1a.json" "$dir/m1b.json"
   cmp "$dir/t1a.json" "$dir/t1b.json"
   cmp "$dir/r1a-clean.txt" "$dir/r4-clean.txt"
   cmp "$dir/m1a.json" "$dir/m4.json"
-  cmp "$dir/r1a-clean.txt" "$dir/re1-clean.txt"
-  cmp "$dir/m1a.json" "$dir/me1.json"
-  cmp "$dir/t1a.json" "$dir/te1.json"
-  cmp "$dir/r1a-clean.txt" "$dir/re4-clean.txt"
-  cmp "$dir/m1a.json" "$dir/me4.json"
-  echo "determinism: OK (repeat + threads 1 vs 4 + event engine byte-identical)"
+  echo "determinism: OK (repeat + threads 1 vs 4 byte-identical)"
 }
 determinism_check
 stage_done determinism
@@ -386,10 +372,8 @@ fault_injection_check() {
 
   # Deterministic EIO/short-write/fsync sweep: every injected fault is
   # transient, so the retry policy must absorb all of them — exit 0 and
-  # byte-identical artifacts. Runs under the event-queue engine so the
-  # injected-fault sweep doubles as an engine cross-check against the
-  # direct-engine golden run.
-  XRES_TRIAL_ENGINE=event "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/eio" \
+  # byte-identical artifacts.
+  "$BUILD"/tools/xres "${args[@]}" --out-dir "$dir/eio" \
     --io-faults 7:0.05:eio,short,fsync > /dev/null 2> "$dir/eio.err"
   "$BUILD"/tools/xres suite verify --out-dir "$dir/eio"
   diff -r --exclude=journals --exclude=perf.json "$dir/ref" "$dir/eio"
@@ -506,9 +490,10 @@ surrogate_check
 stage_done surrogate
 
 # Opt-in full-catalog smoke: every registered study at tiny trial counts,
-# --threads 1 vs 2 and direct vs event engine, artifacts byte-compared,
-# plus the full surrogate differential matrix and the 200-config property
-# test (tier-1 ctest covers fast subsets of all three unconditionally).
+# --threads 1 vs 2, artifacts byte-compared, plus the full differential
+# matrix (trial engine vs queued reference, surrogate) and the 200-config
+# property test (tier-1 ctest covers fast subsets of all three
+# unconditionally).
 if [[ "${XRES_SMOKE_ALL:-0}" == "1" ]]; then
   XRES_SMOKE_ALL=1 "$BUILD"/tests/xres_tests \
     --gtest_filter='StudySmoke.FullCatalog*:SurrogateDiff.*:SurrogateProperty.*'
