@@ -18,10 +18,9 @@ int run(study::StudyContext& ctx) {
   const auto patterns = ctx.params().u32("patterns");
   const auto width = ctx.params().u32("burst-width");
   const std::uint64_t seed = ctx.seed();
-  const study::ObsOptions& obs_options = ctx.options().obs;
   study::RecoveryCoordinator& coordinator = ctx.recovery();
+  study::ObsCollector& collector = ctx.collector();
   const TrialExecutor executor{1};  // pattern runs are serial in this sweep
-  obs::MetricSet merged;
 
   std::printf("Ablation: correlated failures (bursts of %u nodes), scheduler Slack\n\n",
               width);
@@ -32,42 +31,24 @@ int run(study::StudyContext& ctx) {
     std::vector<std::string> row{fmt_percent(probability, 0)};
     for (TechniqueKind kind : workload_techniques()) {
       WorkloadStudyConfig study_config;
-      study_config.patterns = patterns;
-      study_config.seed = seed;
       study::apply_platform_params(study_config.machine, ctx.params());
-      RunningStats dropped;
-      study::run_patterns_controlled(
-          coordinator, executor,
-          "burst:" + fmt_percent(probability, 0) + "/" + to_string(kind), patterns,
-          seed,
-          [&](std::uint32_t p) {
-            const ArrivalPattern pattern =
-                generate_pattern(study_config.workload, study_config.seed, p);
+      const std::vector<WorkloadRunResult> runs = collector.run_patterns(
+          executor, patterns, seed,
+          "burst:" + fmt_percent(probability, 0) + "/" + to_string(kind), coordinator,
+          [&](std::uint32_t p, obs::TrialObs* obs) {
             WorkloadEngineConfig engine;
             engine.machine = study_config.machine;
             engine.resilience = study_config.resilience;
             engine.policy = TechniquePolicy::fixed_technique(kind);
             engine.scheduler = SchedulerKind::kSlack;
-            engine.seed = derive_seed(study_config.seed, 0x656e67696eULL, p);
-            engine.burst_probability = probability;
-            engine.burst_width = width;
-            obs::TrialObs run_obs;
-            if (obs_options.metrics()) {
-              run_obs.enable_metrics();
-              engine.obs = &run_obs;
-            }
-            WorkloadOutcome outcome;
-            outcome.result = run_workload(engine, pattern);
-            if (obs_options.metrics()) outcome.metrics = *run_obs.metrics();
-            return outcome;
-          },
-          [&](std::uint32_t, const WorkloadOutcome& outcome) {
-            dropped.add(outcome.result.dropped_fraction);
-            if (obs_options.metrics() && outcome.metrics.has_value()) {
-              merged.merge(*outcome.metrics);
-            }
+            engine.seed = derive_seed(seed, kWorkloadEngineSeedKey, p);
+            engine.bursts = BurstFailureConfig{probability, width};
+            engine.obs = obs;
+            return run_workload(engine, generate_pattern(study_config.workload, seed, p));
           });
       if (coordinator.interrupted()) return coordinator.finish();
+      RunningStats dropped;
+      for (const WorkloadRunResult& r : runs) dropped.add(r.dropped_fraction);
       row.push_back(fmt_double(dropped.mean() * 100.0, 2) + " ± " +
                     fmt_double(dropped.stddev() * 100.0, 2));
     }
@@ -75,12 +56,7 @@ int run(study::StudyContext& ctx) {
     std::fprintf(stderr, "finished probability %.1f\n", probability);
   }
   std::printf("%s", table.to_text().c_str());
-  if (obs_options.metrics()) {
-    std::printf("\nInstrumented breakdown (whole sweep):\n%s",
-                merged.to_table().to_text().c_str());
-    merged.write_json(obs_options.metrics_path);
-    study::statusf("metrics written to %s\n", obs_options.metrics_path.c_str());
-  }
+  collector.finish();
   std::printf("(bursts multiply the per-event damage; severities are clamped to\n"
               " node-loss level, which multilevel absorbs with partner copies)\n");
   return coordinator.finish();

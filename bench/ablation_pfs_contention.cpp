@@ -20,10 +20,9 @@ int run(study::StudyContext& ctx) {
   study::require_flat_platform(ctx.params(), "ablation_pfs_contention");
   const auto patterns = ctx.params().u32("patterns");
   const std::uint64_t seed = ctx.seed();
-  const study::ObsOptions& obs_options = ctx.options().obs;
   study::RecoveryCoordinator& coordinator = ctx.recovery();
+  study::ObsCollector& collector = ctx.collector();
   const TrialExecutor executor{1};  // pattern runs are serial in this sweep
-  obs::MetricSet merged;
 
   std::printf("Ablation: PFS contention in the oversubscribed workload study\n");
   std::printf("scheduler Slack, %u patterns per cell\n\n", patterns);
@@ -42,43 +41,26 @@ int run(study::StudyContext& ctx) {
     std::vector<std::string> row{variant.name};
     for (TechniqueKind kind : workload_techniques()) {
       WorkloadStudyConfig study_config;
-      study_config.patterns = patterns;
-      study_config.seed = seed;
       study::apply_platform_params(study_config.machine, ctx.params());
       study_config.machine.platform.pfs_gateways = variant.gateways;
 
-      // The crash-safe pattern loop journals each run under a per-cell
-      // batch label.
-      RunningStats dropped;
-      study::run_patterns_controlled(
-          coordinator, executor,
-          std::string{variant.name} + "/" + to_string(kind), patterns, seed,
-          [&](std::uint32_t p) {
-            const ArrivalPattern pattern =
-                generate_pattern(study_config.workload, study_config.seed, p);
+      // The collector's crash-safe pattern loop journals each run under a
+      // per-cell batch label.
+      const std::vector<WorkloadRunResult> runs = collector.run_patterns(
+          executor, patterns, seed, std::string{variant.name} + "/" + to_string(kind),
+          coordinator, [&](std::uint32_t p, obs::TrialObs* obs) {
             WorkloadEngineConfig engine;
             engine.machine = study_config.machine;
             engine.resilience = study_config.resilience;
             engine.policy = TechniquePolicy::fixed_technique(kind);
             engine.scheduler = SchedulerKind::kSlack;
-            engine.seed = derive_seed(study_config.seed, 0x656e67696eULL, p);
-            obs::TrialObs run_obs;
-            if (obs_options.metrics()) {
-              run_obs.enable_metrics();
-              engine.obs = &run_obs;
-            }
-            WorkloadOutcome outcome;
-            outcome.result = run_workload(engine, pattern);
-            if (obs_options.metrics()) outcome.metrics = *run_obs.metrics();
-            return outcome;
-          },
-          [&](std::uint32_t, const WorkloadOutcome& outcome) {
-            dropped.add(outcome.result.dropped_fraction);
-            if (obs_options.metrics() && outcome.metrics.has_value()) {
-              merged.merge(*outcome.metrics);
-            }
+            engine.seed = derive_seed(seed, kWorkloadEngineSeedKey, p);
+            engine.obs = obs;
+            return run_workload(engine, generate_pattern(study_config.workload, seed, p));
           });
       if (coordinator.interrupted()) return coordinator.finish();
+      RunningStats dropped;
+      for (const WorkloadRunResult& r : runs) dropped.add(r.dropped_fraction);
       row.push_back(fmt_double(dropped.mean() * 100.0, 2) + " ± " +
                     fmt_double(dropped.stddev() * 100.0, 2));
     }
@@ -86,12 +68,7 @@ int run(study::StudyContext& ctx) {
     std::fprintf(stderr, "finished: %s\n", variant.name);
   }
   std::printf("%s", table.to_text().c_str());
-  if (obs_options.metrics()) {
-    std::printf("\nInstrumented breakdown (whole sweep):\n%s",
-                merged.to_table().to_text().c_str());
-    merged.write_json(obs_options.metrics_path);
-    study::statusf("metrics written to %s\n", obs_options.metrics_path.c_str());
-  }
+  collector.finish();
   std::printf("(parallel recovery never touches the PFS, so its column is the "
               "control: contention leaves it unchanged)\n");
   return coordinator.finish();

@@ -29,6 +29,7 @@ int run(study::StudyContext& ctx) {
   const auto patterns = ctx.params().u32("patterns");
   const std::uint64_t seed = ctx.seed();
   study::RecoveryCoordinator& coordinator = ctx.recovery();
+  study::ObsCollector& collector = ctx.collector();
   const TrialExecutor executor{1};  // pattern runs are serial in this sweep
   const std::uint32_t channels = MachineSpec{}.network.switch_connections;
 
@@ -50,37 +51,31 @@ int run(study::StudyContext& ctx) {
     double nominal_s = 0.0;
     for (TechniqueKind kind : workload_techniques()) {
       WorkloadStudyConfig study_config;
-      study_config.patterns = patterns;
-      study_config.seed = seed;
       study::apply_platform_params(study_config.machine, ctx.params());
       if (variant.fattree) {
         study_config.machine.platform.model = PlatformModelKind::kFattree;
         study_config.machine.platform.fattree.pfs_channels = variant.pfs_channels;
       }
-      RunningStats dropped;
-      study::run_patterns_controlled(
-          coordinator, executor,
-          std::string{variant.name} + "/" + to_string(kind), patterns, seed,
-          [&](std::uint32_t p) {
-            const ArrivalPattern pattern =
-                generate_pattern(study_config.workload, study_config.seed, p);
+      const std::vector<WorkloadRunResult> runs = collector.run_patterns(
+          executor, patterns, seed, std::string{variant.name} + "/" + to_string(kind),
+          coordinator, [&](std::uint32_t p, obs::TrialObs* obs) {
             WorkloadEngineConfig engine;
             engine.machine = study_config.machine;
             engine.resilience = study_config.resilience;
             engine.policy = TechniquePolicy::fixed_technique(kind);
             engine.scheduler = SchedulerKind::kSlack;
-            engine.seed = derive_seed(study_config.seed, 0x656e67696eULL, p);
-            WorkloadOutcome outcome;
-            outcome.result = run_workload(engine, pattern);
-            return outcome;
-          },
-          [&](std::uint32_t, const WorkloadOutcome& outcome) {
-            dropped.add(outcome.result.dropped_fraction);
-            transfers += outcome.result.pfs_transfers;
-            measured_s += outcome.result.pfs_measured_s;
-            nominal_s += outcome.result.pfs_nominal_s;
+            engine.seed = derive_seed(seed, kWorkloadEngineSeedKey, p);
+            engine.obs = obs;
+            return run_workload(engine, generate_pattern(study_config.workload, seed, p));
           });
       if (coordinator.interrupted()) return coordinator.finish();
+      RunningStats dropped;
+      for (const WorkloadRunResult& r : runs) {
+        dropped.add(r.dropped_fraction);
+        transfers += r.pfs_transfers;
+        measured_s += r.pfs_measured_s;
+        nominal_s += r.pfs_nominal_s;
+      }
       row.push_back(fmt_double(dropped.mean() * 100.0, 2) + " ± " +
                     fmt_double(dropped.stddev() * 100.0, 2));
     }
@@ -98,6 +93,7 @@ int run(study::StudyContext& ctx) {
     std::fprintf(stderr, "finished: %s\n", variant.name);
   }
   std::printf("%s", table.to_text().c_str());
+  collector.finish();
   std::printf("(flat prices PFS checkpoints with Eq. 3 and never queues; the\n"
               " fat-tree device serves at most %u concurrent transfers, so the\n"
               " checkpoint storms of the oversubscribed machine queue up and\n"
@@ -118,6 +114,7 @@ study::StudyDefinition make() {
                 "Eq.-3 PFS divergence, flat vs. fat-tree platform";
   def.options.default_seed = 20170530;
   def.options.threads = false;  // pattern runs are serial in this sweep
+  def.options.obs = study::StudyOptionsSpec::Obs::kNoTrace;
   def.params.integer("patterns", "arrival patterns per cell", 15).min(1);
   def.run = run;
   return def;

@@ -332,7 +332,7 @@ void BM_WorkloadFattreeStorm(benchmark::State& state) {
   engine.resilience = study_config.resilience;
   engine.policy = TechniquePolicy::fixed_technique(TechniqueKind::kCheckpointRestart);
   engine.scheduler = SchedulerKind::kSlack;
-  engine.seed = derive_seed(20170530, 0x656e67696eULL, 0);
+  engine.seed = derive_seed(20170530, kWorkloadEngineSeedKey, 0);
   const ArrivalPattern pattern = generate_pattern(study_config.workload, 20170530, 0);
   std::uint64_t transfers = 0;
   for (auto _ : state) {

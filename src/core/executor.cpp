@@ -9,11 +9,10 @@
 #include <thread>
 #include <utility>
 
-#include "recovery/journal.hpp"
-#include "recovery/json_parse.hpp"
-#include "recovery/shutdown.hpp"
-#include "recovery/trial_record.hpp"
+#include "core/workload_record.hpp"
 #include "obs/perf.hpp"
+#include "recovery/journal.hpp"
+#include "recovery/shutdown.hpp"
 #include "util/check.hpp"
 #include "util/deadline.hpp"
 
@@ -21,9 +20,9 @@ namespace xres {
 
 namespace {
 
-/// Attempt number of the trial currently executing on this thread; set by
-/// for_each_controlled's retry loop so run_batch's journal body can record
-/// how many tries an outcome took without widening the body signature.
+/// Attempt number of the unit currently executing on this thread; set by
+/// for_each_controlled's retry loop so run_journaled's body can record how
+/// many tries an outcome took without widening the body signature.
 thread_local unsigned t_current_attempt = 1;
 
 /// Process-wide persistent worker pool shared by every TrialExecutor batch.
@@ -314,17 +313,17 @@ std::vector<ExecutionResult> TrialExecutor::run_batch(
   return results;
 }
 
-std::vector<ExecutionResult> TrialExecutor::run_batch(
-    std::uint64_t root_seed, std::span<const TrialSpec> specs,
+template <typename Result>
+std::vector<Result> TrialExecutor::run_journaled(
+    std::size_t count, const std::function<Result(std::size_t, obs::TrialObs*)>& run,
     std::span<obs::TrialObs> observers, const recovery::TrialRecoveryOptions& rec,
-    const std::string& batch_label, recovery::BatchReport* report,
-    const TrialProgress& progress) const {
+    const std::string& label, const std::function<std::uint64_t(std::size_t)>& fingerprint,
+    recovery::BatchReport* report, const TrialProgress& progress) const {
   const bool observed = !observers.empty();
-  XRES_CHECK(!observed || observers.size() == specs.size(),
-             "one observer per spec, or no observers at all");
+  XRES_CHECK(!observed || observers.size() == count,
+             "one observer per unit, or no observers at all");
 
-  const std::vector<std::uint64_t> seeds = derive_batch_seeds(root_seed, specs);
-  std::vector<ExecutionResult> results(specs.size());
+  std::vector<Result> results(count);
   std::atomic<std::size_t> stale{0};
 
   TrialLoopControl control;
@@ -334,21 +333,21 @@ std::vector<ExecutionResult> TrialExecutor::run_batch(
 
   if (rec.resume != nullptr) {
     control.already_done = [&](std::size_t i) {
-      const recovery::JournalRecord* record = rec.resume->find(batch_label, i);
+      const recovery::JournalRecord* record = rec.resume->find(label, i);
       if (record == nullptr) return false;
-      if (record->seed != seeds[i]) {
+      if (record->seed != fingerprint(i)) {
         // The sweep changed under the journal; re-running is the only safe
         // answer.
         stale.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
-      // Trace-collecting trials always re-run: the simulation is
+      // Trace-collecting units always re-run: the simulation is
       // deterministic, so re-running rebuilds the identical trace, and
       // journaling event buffers would dwarf the results they describe.
       if (observed && observers[i].trace() != nullptr) return false;
-      recovery::TrialOutcome outcome;
+      recovery::Outcome<Result> outcome;
       try {
-        outcome = recovery::parse_trial_outcome(record->payload);
+        outcome = recovery::parse_outcome<Result>(record->payload);
       } catch (const recovery::JsonParseError&) {
         stale.fetch_add(1, std::memory_order_relaxed);
         return false;
@@ -359,21 +358,21 @@ std::vector<ExecutionResult> TrialExecutor::run_batch(
         if (!outcome.metrics.has_value()) return false;
         *observers[i].metrics() = *outcome.metrics;
       }
-      results[i] = outcome.result;
+      results[i] = std::move(outcome.result);
       return true;
     };
   }
 
-  auto journal_outcome = [&](std::size_t i, recovery::TrialOutcome outcome) {
+  auto journal_outcome = [&](std::size_t i, const recovery::Outcome<Result>& outcome) {
     recovery::JournalRecord record;
-    record.batch = batch_label;
+    record.batch = label;
     record.index = i;
-    record.seed = seeds[i];
-    record.payload = recovery::serialize_trial_outcome(outcome);
+    record.seed = fingerprint(i);
+    record.payload = recovery::serialize_outcome(outcome);
     rec.journal->append(record);
   };
 
-  // Re-arm a trial's enabled observer channels so every attempt starts from
+  // Re-arm a unit's enabled observer channels so every attempt starts from
   // a clean slate instead of double-counting a failed predecessor.
   auto reset_observer = [&](std::size_t i) {
     if (!observed) return;
@@ -388,47 +387,69 @@ std::vector<ExecutionResult> TrialExecutor::run_batch(
       obs = &observers[i];
     }
     const auto start = std::chrono::steady_clock::now();
-    results[i] = run_trial_work(specs[i].work, seeds[i], obs);
+    results[i] = run(i, obs);
     if (rec.journal != nullptr) {
-      recovery::TrialOutcome outcome;
+      recovery::Outcome<Result> outcome;
       outcome.result = results[i];
       if (obs != nullptr && obs->metrics() != nullptr) outcome.metrics = *obs->metrics();
       outcome.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
               .count();
       outcome.attempts = t_current_attempt;
-      journal_outcome(i, std::move(outcome));
+      journal_outcome(i, outcome);
     }
   };
 
   if (rec.quarantine_enabled()) {
     control.quarantine = [&](std::size_t i, const std::string& reason) {
-      // Same shape as an infeasible plan: present but worthless, so the
-      // study's reductions stay well-defined.
-      ExecutionResult placeholder;
-      placeholder.completed = false;
-      placeholder.efficiency = 0.0;
-      results[i] = placeholder;
+      // Present but worthless (an infeasible plan's zero efficiency, a
+      // zero-job pattern run), so the study's reductions stay well-defined.
+      results[i] = Result{};
       reset_observer(i);
       if (rec.journal != nullptr) {
-        recovery::TrialOutcome outcome;
-        outcome.result = placeholder;
+        recovery::Outcome<Result> outcome;
         outcome.quarantined = true;
         outcome.quarantine_reason = reason;
         outcome.attempts = std::max(1U, rec.trial_attempts);
         if (observed && observers[i].metrics() != nullptr) {
           outcome.metrics.emplace();  // clean zero set, matching the reset
         }
-        journal_outcome(i, std::move(outcome));
+        journal_outcome(i, outcome);
       }
     };
   }
 
-  for_each_controlled(specs.size(), body, control, report);
+  for_each_controlled(count, body, control, report);
   if (report != nullptr) {
     report->stale_records += stale.load(std::memory_order_relaxed);
   }
   return results;
+}
+
+template std::vector<ExecutionResult> TrialExecutor::run_journaled<ExecutionResult>(
+    std::size_t, const std::function<ExecutionResult(std::size_t, obs::TrialObs*)>&,
+    std::span<obs::TrialObs>, const recovery::TrialRecoveryOptions&, const std::string&,
+    const std::function<std::uint64_t(std::size_t)>&, recovery::BatchReport*,
+    const TrialProgress&) const;
+template std::vector<WorkloadRunResult> TrialExecutor::run_journaled<WorkloadRunResult>(
+    std::size_t, const std::function<WorkloadRunResult(std::size_t, obs::TrialObs*)>&,
+    std::span<obs::TrialObs>, const recovery::TrialRecoveryOptions&, const std::string&,
+    const std::function<std::uint64_t(std::size_t)>&, recovery::BatchReport*,
+    const TrialProgress&) const;
+
+std::vector<ExecutionResult> TrialExecutor::run_batch(
+    std::uint64_t root_seed, std::span<const TrialSpec> specs,
+    std::span<obs::TrialObs> observers, const recovery::TrialRecoveryOptions& rec,
+    const std::string& batch_label, recovery::BatchReport* report,
+    const TrialProgress& progress) const {
+  const std::vector<std::uint64_t> seeds = derive_batch_seeds(root_seed, specs);
+  return run_journaled<ExecutionResult>(
+      specs.size(),
+      [&](std::size_t i, obs::TrialObs* obs) {
+        return run_trial_work(specs[i].work, seeds[i], obs);
+      },
+      observers, rec, batch_label, [&](std::size_t i) { return seeds[i]; }, report,
+      progress);
 }
 
 }  // namespace xres

@@ -184,8 +184,7 @@ class TrialExecutor {
 
   /// Generic deterministic parallel-for: invokes `body(i)` once for each
   /// `i` in `[0, count)` across the worker pool. `body` must only write to
-  /// state owned by index `i`. Used by study drivers whose unit of work is
-  /// not an `ExecutionResult` (e.g. workload pattern runs).
+  /// state owned by index `i`.
   void for_each(std::size_t count, const std::function<void(std::size_t)>& body,
                 const TrialProgress& progress = {}) const;
 
@@ -200,15 +199,34 @@ class TrialExecutor {
                            const TrialLoopControl& control,
                            recovery::BatchReport* report = nullptr) const;
 
-  /// run_batch with the crash-safety envelope (docs/ROBUSTNESS.md):
-  /// completed trials stream into `rec.journal` (when set), trials already
-  /// in `rec.resume` are restored instead of re-simulated — including their
-  /// journaled per-trial metrics, so merged `--metrics` output stays
-  /// byte-identical — and failing/hung trials are retried then quarantined
-  /// per `rec`. \p observers may be empty (unobserved) or one per spec.
-  /// \p batch_label namespaces this batch's records within the journal.
-  /// On interruption (report->interrupted) the returned vector is only
-  /// valid at indices the loop finished; callers must not reduce it.
+  /// The one journaled unit loop (docs/ROBUSTNESS.md) behind trial
+  /// batches, workload studies and the workload ablations' pattern runs:
+  /// `result[i] = run(i, obs)` for each unit under for_each_controlled,
+  /// and the only code that consults `rec.resume`. A record of
+  /// (\p label, i) whose seed equals `fingerprint(i)` is restored instead
+  /// of re-run, together with its journaled metrics when \p observers ask
+  /// for metrics, so merged `--metrics` output stays byte-identical. It is
+  /// re-run instead when its fingerprint or payload is stale (counted in
+  /// `report->stale_records`), when the unit carries a trace observer, or
+  /// when it lacks metrics that are requested now. Completed units stream
+  /// into `rec.journal`; a unit that exhausts its attempts (when
+  /// `rec.quarantine_enabled()`) becomes `Result{}` with a journaled
+  /// quarantine marker, plus a clean metric set when metrics are on.
+  /// \p observers may be empty (unobserved) or one per unit; enabled
+  /// channels are re-armed before every attempt. Instantiated for
+  /// ExecutionResult and WorkloadRunResult. On interruption
+  /// (report->interrupted) the result is only valid at indices the loop
+  /// finished; callers must not reduce it.
+  template <typename Result>
+  [[nodiscard]] std::vector<Result> run_journaled(
+      std::size_t count, const std::function<Result(std::size_t, obs::TrialObs*)>& run,
+      std::span<obs::TrialObs> observers, const recovery::TrialRecoveryOptions& rec,
+      const std::string& label, const std::function<std::uint64_t(std::size_t)>& fingerprint,
+      recovery::BatchReport* report = nullptr, const TrialProgress& progress = {}) const;
+
+  /// run_batch through run_journaled: each trial is fingerprinted by its
+  /// derived seed, and \p batch_label namespaces the batch's records
+  /// within the journal.
   [[nodiscard]] std::vector<ExecutionResult> run_batch(
       std::uint64_t root_seed, std::span<const TrialSpec> specs,
       std::span<obs::TrialObs> observers, const recovery::TrialRecoveryOptions& rec,

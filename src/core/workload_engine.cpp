@@ -40,14 +40,11 @@ class WorkloadEngine final : public SchedulerContext {
       selector_.emplace(config_.machine, config_.resilience);
     }
     if (config_.policy.mode != TechniquePolicy::Mode::kIdealBaseline) {
-      BurstFailureConfig bursts;
-      bursts.probability = config_.burst_probability;
-      bursts.width = config_.burst_width;
       failures_.emplace(
           sim_, machine_, config_.resilience.node_mtbf, severity_,
           Pcg32{derive_seed(config.seed, 0x73797366ULL)},
           [this](const Failure& f, const Machine::Victim& v) { deliver_failure(f, v); },
-          bursts);
+          config_.bursts);
     }
     if (const auto shape = platform_model_->pfs_device()) {
       pfs_device_.emplace(sim_, *shape);

@@ -13,6 +13,7 @@
 #include "apps/workload.hpp"
 #include "core/occupancy.hpp"
 #include "core/policy.hpp"
+#include "failure/process.hpp"
 #include "platform/spec.hpp"
 #include "resilience/config.hpp"
 #include "rm/scheduler.hpp"
@@ -38,12 +39,11 @@ struct WorkloadEngineConfig {
   /// default only to keep results lean in large sweeps).
   bool record_occupancy{false};
 
-  /// Extension: spatially correlated failures — with this probability a
-  /// failure event strikes `burst_width` contiguous nodes (cabinet/PSU
-  /// fault), hitting every intersecting application. 0 reproduces the
-  /// paper's independent-failure model.
-  double burst_probability{0.0};
-  std::uint32_t burst_width{64};
+  /// Extension: spatially correlated failures — with `bursts.probability`
+  /// a failure event strikes `bursts.width` contiguous nodes (cabinet/PSU
+  /// fault), hitting every intersecting application. The default
+  /// (probability 0) reproduces the paper's independent-failure model.
+  BurstFailureConfig bursts{};
 
   /// Optional observation context (metrics channel; obs/trial_obs.hpp) for
   /// this pattern run: job counters plus the per-runtime event metrics.

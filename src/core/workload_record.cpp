@@ -2,10 +2,6 @@
 
 #include <cstdint>
 
-#include "obs/json.hpp"
-#include "recovery/json_parse.hpp"
-#include "recovery/trial_record.hpp"
-
 namespace xres {
 
 namespace {
@@ -40,7 +36,9 @@ Summary read_summary(const JsonValue& v) {
   return s;
 }
 
-void write_run(JsonWriter& w, const WorkloadRunResult& r) {
+}  // namespace
+
+void write_result(JsonWriter& w, const WorkloadRunResult& r) {
   w.begin_object();
   w.key("jobs").value(static_cast<std::uint64_t>(r.total_jobs));
   w.key("completed").value(static_cast<std::uint64_t>(r.completed));
@@ -77,8 +75,7 @@ void write_run(JsonWriter& w, const WorkloadRunResult& r) {
   w.end_object();
 }
 
-WorkloadRunResult read_run(const JsonValue& v) {
-  WorkloadRunResult r;
+void read_result(const JsonValue& v, WorkloadRunResult& r) {
   r.total_jobs = static_cast<std::uint32_t>(v.at("jobs").as_u64());
   r.completed = static_cast<std::uint32_t>(v.at("completed").as_u64());
   r.dropped = static_cast<std::uint32_t>(v.at("dropped").as_u64());
@@ -107,40 +104,6 @@ WorkloadRunResult read_run(const JsonValue& v) {
     r.pfs_measured_s = a[1].as_double();
     r.pfs_nominal_s = a[2].as_double();
   }
-  return r;
-}
-
-}  // namespace
-
-std::string serialize_workload_outcome(const WorkloadOutcome& outcome) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("result");
-  write_run(w, outcome.result);
-  if (outcome.quarantined) {
-    w.key("quarantined").value(true);
-    w.key("reason").value(outcome.quarantine_reason);
-  }
-  if (outcome.metrics.has_value()) {
-    w.key("metrics");
-    recovery::write_metric_set(w, *outcome.metrics);
-  }
-  w.end_object();
-  return w.str();
-}
-
-WorkloadOutcome parse_workload_outcome(const std::string& payload) {
-  const JsonValue v = recovery::parse_json(payload);
-  WorkloadOutcome out;
-  out.result = read_run(v.at("result"));
-  if (const JsonValue* q = v.find("quarantined"); q != nullptr && q->as_bool()) {
-    out.quarantined = true;
-    out.quarantine_reason = v.at("reason").as_string();
-  }
-  if (const JsonValue* m = v.find("metrics"); m != nullptr) {
-    out.metrics = recovery::read_metric_set(*m);
-  }
-  return out;
 }
 
 }  // namespace xres

@@ -1,35 +1,21 @@
 #pragma once
 
 /// \file workload_record.hpp
-/// Journal payload for one workload pattern run — the workload-study
-/// counterpart of recovery/trial_record.hpp. Serializes the full
-/// `WorkloadRunResult` (minus the occupancy log: occupancy-recording runs
-/// are re-run on resume, like trace-collecting trials) plus the optional
-/// per-run `MetricSet`, in shortest-round-trip number form, so a resumed
-/// workload study reduces to byte-identical tables and metrics.
-
-#include <optional>
-#include <string>
+/// The workload pattern run's part of the journal payload: the
+/// `write_result`/`read_result` pair that lets recovery::Outcome
+/// (recovery/trial_record.hpp) carry a `WorkloadRunResult`. Serializes the
+/// full result except the occupancy log, which no journaled loop records,
+/// in shortest-round-trip number form, so a resumed workload study reduces
+/// to byte-identical tables and metrics.
 
 #include "core/workload_engine.hpp"
-#include "obs/metrics.hpp"
+#include "recovery/trial_record.hpp"
 
 namespace xres {
 
-/// One journaled pattern-run outcome.
-struct WorkloadOutcome {
-  WorkloadRunResult result{};
-  bool quarantined{false};
-  std::string quarantine_reason;
-  std::optional<obs::MetricSet> metrics;
-};
-
-/// Serialize \p outcome as one JSON object (journal record "p" field).
-[[nodiscard]] std::string serialize_workload_outcome(const WorkloadOutcome& outcome);
-
-/// Inverse of serialize_workload_outcome. Throws recovery::JsonParseError on
-/// malformed payloads or a metric-registry mismatch — callers treat either
-/// as "re-run this pattern".
-[[nodiscard]] WorkloadOutcome parse_workload_outcome(const std::string& payload);
+/// The "result" object of a pattern run's payload. read_result throws
+/// recovery::JsonParseError on a malformed object.
+void write_result(obs::JsonWriter& w, const WorkloadRunResult& r);
+void read_result(const recovery::JsonValue& v, WorkloadRunResult& r);
 
 }  // namespace xres

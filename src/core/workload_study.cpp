@@ -1,28 +1,8 @@
 #include "core/workload_study.hpp"
 
-#include <atomic>
-
-#include "core/workload_record.hpp"
-#include "recovery/journal.hpp"
-#include "recovery/json_parse.hpp"
 #include "util/check.hpp"
 
 namespace xres {
-
-namespace {
-
-/// FNV-1a over the combo's display name: a content fingerprint that makes
-/// journal records from an edited or reordered combo list read as stale.
-std::uint64_t combo_fingerprint(const WorkloadCombo& combo) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : combo.name()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::string WorkloadCombo::name() const {
   return std::string{to_string(scheduler)} + " + " + policy.name();
@@ -46,102 +26,36 @@ std::vector<WorkloadComboResult> run_workload_study(
   // the worker pool, each run writing its own slot, then reduce serially in
   // (combo, pattern) order so summaries are identical for any thread count.
   const std::size_t total_runs = combos.size() * config.patterns;
-  std::vector<WorkloadRunResult> runs(total_runs);
   std::vector<obs::TrialObs> observers;
   if (config.collect_metrics) {
     observers.resize(total_runs);
     for (obs::TrialObs& o : observers) o.enable_metrics();
   }
-  const TrialExecutor executor{config.threads};
-  const recovery::TrialRecoveryOptions& rec = config.recovery;
-  const std::string& kBatch = config.recovery_batch;
-  std::atomic<std::size_t> stale{0};
-
-  // Journal fingerprint for run idx: study seed x combo content x pattern.
-  const auto fingerprint = [&](std::size_t idx) {
-    return derive_seed(config.seed, combo_fingerprint(combos[idx / config.patterns]),
-                       idx % config.patterns);
-  };
-  const auto journal_outcome = [&](std::size_t idx, WorkloadOutcome outcome) {
-    recovery::JournalRecord record;
-    record.batch = kBatch;
-    record.index = idx;
-    record.seed = fingerprint(idx);
-    record.payload = serialize_workload_outcome(outcome);
-    rec.journal->append(record);
-  };
-
-  TrialLoopControl control;
-  control.progress = progress;
-  control.trial_timeout_seconds = rec.trial_timeout_seconds;
-  control.trial_attempts = rec.trial_attempts;
-  if (rec.resume != nullptr) {
-    control.already_done = [&](std::size_t idx) {
-      const recovery::JournalRecord* record = rec.resume->find(kBatch, idx);
-      if (record == nullptr) return false;
-      if (record->seed != fingerprint(idx)) {
-        stale.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      WorkloadOutcome outcome;
-      try {
-        outcome = parse_workload_outcome(record->payload);
-      } catch (const recovery::JsonParseError&) {
-        stale.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      if (config.collect_metrics) {
-        if (!outcome.metrics.has_value()) return false;  // journaled unobserved: re-run
-        *observers[idx].metrics() = *outcome.metrics;
-      }
-      runs[idx] = outcome.result;
-      return true;
-    };
-  }
-  if (rec.quarantine_enabled()) {
-    control.quarantine = [&](std::size_t idx, const std::string& reason) {
-      runs[idx] = WorkloadRunResult{};  // zero jobs: reduces as a no-op-ish run
-      if (config.collect_metrics) observers[idx].enable_metrics();
-      if (rec.journal != nullptr) {
-        WorkloadOutcome outcome;
-        outcome.quarantined = true;
-        outcome.quarantine_reason = reason;
-        if (config.collect_metrics) outcome.metrics.emplace();
-        journal_outcome(idx, std::move(outcome));
-      }
-    };
-  }
-
-  executor.for_each_controlled(
-      total_runs,
-      [&](std::size_t idx) {
-        const WorkloadCombo& combo = combos[idx / config.patterns];
-        const auto p = static_cast<std::uint32_t>(idx % config.patterns);
-        WorkloadEngineConfig engine;
-        engine.machine = config.machine;
-        engine.resilience = config.resilience;
-        engine.policy = combo.policy;
-        engine.scheduler = combo.scheduler;
-        // The engine seed varies per pattern but NOT per combo: combos see
-        // identical failure sequences for a given pattern (variance
-        // reduction, mirroring the paper's shared arrival patterns).
-        engine.seed = derive_seed(config.seed, 0x656e67696eULL, p);
-        if (config.collect_metrics) {
-          observers[idx].enable_metrics();  // fresh set, also on a retry
-          engine.obs = &observers[idx];
-        }
-        runs[idx] = run_workload(engine, patterns[p]);
-        if (rec.journal != nullptr) {
-          WorkloadOutcome outcome;
-          outcome.result = runs[idx];
-          if (config.collect_metrics) outcome.metrics = *observers[idx].metrics();
-          journal_outcome(idx, std::move(outcome));
-        }
-      },
-      control, report);
-  if (report != nullptr) {
-    report->stale_records += stale.load(std::memory_order_relaxed);
-  }
+  const std::vector<WorkloadRunResult> runs =
+      TrialExecutor{config.threads}.run_journaled<WorkloadRunResult>(
+          total_runs,
+          [&](std::size_t idx, obs::TrialObs* obs) {
+            const WorkloadCombo& combo = combos[idx / config.patterns];
+            const auto p = static_cast<std::uint32_t>(idx % config.patterns);
+            WorkloadEngineConfig engine;
+            engine.machine = config.machine;
+            engine.resilience = config.resilience;
+            engine.policy = combo.policy;
+            engine.scheduler = combo.scheduler;
+            // The engine seed varies per pattern but NOT per combo: combos
+            // see identical failure sequences for a given pattern (variance
+            // reduction, mirroring the paper's shared arrival patterns).
+            engine.seed = derive_seed(config.seed, kWorkloadEngineSeedKey, p);
+            engine.obs = obs;
+            return run_workload(engine, patterns[p]);
+          },
+          observers, config.recovery, config.recovery_batch,
+          // Journal fingerprint: study seed x combo content x pattern.
+          [&](std::size_t idx) {
+            return derive_seed(config.seed, fnv1a(combos[idx / config.patterns].name()),
+                               idx % config.patterns);
+          },
+          report, progress);
 
   std::vector<WorkloadComboResult> results;
   results.reserve(combos.size());

@@ -20,6 +20,11 @@
 
 namespace xres {
 
+/// Seed key of a workload pattern run's engine: pattern p runs with
+/// `derive_seed(study seed, kWorkloadEngineSeedKey, p)`, whatever the combo,
+/// so every combo of a study sees the same failure sequence per pattern.
+inline constexpr std::uint64_t kWorkloadEngineSeedKey = 0x656e67696eULL;
+
 struct WorkloadStudyConfig {
   MachineSpec machine{MachineSpec::exascale()};
   ResilienceConfig resilience{};
@@ -35,9 +40,10 @@ struct WorkloadStudyConfig {
   bool collect_metrics{false};
   /// Crash-safety envelope — journal/resume/watchdog/retry
   /// (docs/ROBUSTNESS.md). The default reproduces the historical behavior.
-  /// Pattern runs are journaled under `recovery_batch`, fingerprinted by
-  /// (study seed, combo name hash, pattern), so reordering or editing the
-  /// combo list invalidates exactly the affected records.
+  /// Pattern runs are journaled under `recovery_batch` by the executor's
+  /// run_journaled, fingerprinted by (study seed, FNV-1a of the combo name,
+  /// pattern), so reordering or editing the combo list invalidates exactly
+  /// the affected records.
   recovery::TrialRecoveryOptions recovery{};
   /// Journal batch label. Drivers running several studies against one
   /// journal (e.g. one per workload bias) must give each a distinct label.

@@ -1,15 +1,8 @@
 #include "recovery/trial_record.hpp"
 
-#include "obs/json.hpp"
-#include "recovery/json_parse.hpp"
+namespace xres {
 
-namespace xres::recovery {
-
-namespace {
-
-using obs::JsonWriter;
-
-void write_result(JsonWriter& w, const ExecutionResult& r) {
+void write_result(obs::JsonWriter& w, const ExecutionResult& r) {
   w.begin_object();
   w.key("completed").value(r.completed);
   w.key("wall_s").value(r.wall_time.to_seconds());
@@ -28,8 +21,7 @@ void write_result(JsonWriter& w, const ExecutionResult& r) {
   w.end_object();
 }
 
-ExecutionResult read_result(const JsonValue& v) {
-  ExecutionResult r;
+void read_result(const recovery::JsonValue& v, ExecutionResult& r) {
   r.completed = v.at("completed").as_bool();
   r.wall_time = Duration::seconds(v.at("wall_s").as_double());
   r.baseline = Duration::seconds(v.at("baseline_s").as_double());
@@ -44,10 +36,13 @@ ExecutionResult read_result(const JsonValue& v) {
   r.time_recovering = Duration::seconds(v.at("recover_s").as_double());
   r.rework = Duration::seconds(v.at("rework_s").as_double());
   r.node_seconds = v.at("node_s").as_double();
-  return r;
 }
 
-}  // namespace
+}  // namespace xres
+
+namespace xres::recovery {
+
+using obs::JsonWriter;
 
 /// Metric values by slot, in registry order. Slot counts are recorded so a
 /// journal written against a different metric registry (another binary
@@ -134,47 +129,6 @@ obs::MetricSet read_metric_set(const JsonValue& v) {
     set.restore_histogram(hists[i], h);
   }
   return set;
-}
-
-std::string serialize_trial_outcome(const TrialOutcome& outcome) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("result");
-  write_result(w, outcome.result);
-  if (outcome.quarantined) {
-    w.key("quarantined").value(true);
-    w.key("reason").value(outcome.quarantine_reason);
-  }
-  if (outcome.metrics.has_value()) {
-    w.key("metrics");
-    write_metric_set(w, *outcome.metrics);
-  }
-  if (outcome.wall_seconds > 0) w.key("w").value(outcome.wall_seconds);
-  if (outcome.attempts > 1) {
-    w.key("a").value(static_cast<std::uint64_t>(outcome.attempts));
-  }
-  w.end_object();
-  return w.str();
-}
-
-TrialOutcome parse_trial_outcome(const std::string& payload) {
-  const JsonValue v = parse_json(payload);
-  TrialOutcome out;
-  out.result = read_result(v.at("result"));
-  if (const JsonValue* q = v.find("quarantined"); q != nullptr && q->as_bool()) {
-    out.quarantined = true;
-    out.quarantine_reason = v.at("reason").as_string();
-  }
-  if (const JsonValue* m = v.find("metrics"); m != nullptr) {
-    out.metrics = read_metric_set(*m);
-  }
-  if (const JsonValue* wall = v.find("w"); wall != nullptr) {
-    out.wall_seconds = wall->as_double();
-  }
-  if (const JsonValue* a = v.find("a"); a != nullptr) {
-    out.attempts = static_cast<unsigned>(a->as_u64());
-  }
-  return out;
 }
 
 }  // namespace xres::recovery

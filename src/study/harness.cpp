@@ -1,10 +1,8 @@
 #include "study/harness.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <vector>
 
-#include "recovery/json_parse.hpp"
 #include "util/rng.hpp"
 
 namespace xres::study {
@@ -113,85 +111,30 @@ void ObsCollector::finish() {
   }
 }
 
-namespace {
-
-/// FNV-1a over the batch label, mixed into the per-pattern fingerprint so an
-/// edited sweep grid reads its old records as stale instead of wrong.
-std::uint64_t label_hash(const std::string& label) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : label) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
-void run_patterns_controlled(
-    RecoveryCoordinator& coordinator, const TrialExecutor& executor,
-    const std::string& label, std::uint32_t patterns, std::uint64_t root_seed,
-    const std::function<WorkloadOutcome(std::uint32_t)>& run,
-    const std::function<void(std::uint32_t, const WorkloadOutcome&)>& consume) {
-  const recovery::TrialRecoveryOptions rec = coordinator.options();
-  std::vector<WorkloadOutcome> outcomes(patterns);
-  std::atomic<std::size_t> stale{0};
-
-  const auto fingerprint = [&](std::size_t idx) {
-    return derive_seed(root_seed, label_hash(label), idx);
-  };
-  const auto journal_outcome = [&](std::size_t idx, const WorkloadOutcome& outcome) {
-    if (rec.journal == nullptr) return;
-    recovery::JournalRecord record;
-    record.batch = label;
-    record.index = idx;
-    record.seed = fingerprint(idx);
-    record.payload = serialize_workload_outcome(outcome);
-    rec.journal->append(record);
-  };
-
-  TrialLoopControl control;
-  control.trial_timeout_seconds = rec.trial_timeout_seconds;
-  control.trial_attempts = rec.trial_attempts;
-  if (rec.resume != nullptr) {
-    control.already_done = [&](std::size_t idx) {
-      const recovery::JournalRecord* record = rec.resume->find(label, idx);
-      if (record == nullptr) return false;
-      if (record->seed != fingerprint(idx)) {
-        stale.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      try {
-        outcomes[idx] = parse_workload_outcome(record->payload);
-      } catch (const recovery::JsonParseError&) {
-        stale.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      return true;
-    };
-  }
-  if (rec.quarantine_enabled()) {
-    control.quarantine = [&](std::size_t idx, const std::string& reason) {
-      outcomes[idx] = WorkloadOutcome{};
-      outcomes[idx].quarantined = true;
-      outcomes[idx].quarantine_reason = reason;
-      journal_outcome(idx, outcomes[idx]);
-    };
-  }
-
+std::vector<WorkloadRunResult> ObsCollector::run_patterns(
+    const TrialExecutor& executor, std::uint32_t patterns, std::uint64_t root_seed,
+    const std::string& label, RecoveryCoordinator& coordinator,
+    const std::function<WorkloadRunResult(std::uint32_t, obs::TrialObs*)>& run) {
   recovery::BatchReport report;
-  executor.for_each_controlled(
+  std::vector<obs::TrialObs> observers;
+  if (options_.metrics()) {
+    observers.resize(patterns);
+    for (obs::TrialObs& o : observers) o.enable_metrics();
+  }
+  const std::uint64_t label_key = fnv1a(label);
+  std::vector<WorkloadRunResult> runs = executor.run_journaled<WorkloadRunResult>(
       patterns,
-      [&](std::size_t idx) {
-        outcomes[idx] = run(static_cast<std::uint32_t>(idx));
-        journal_outcome(idx, outcomes[idx]);
+      [&](std::size_t p, obs::TrialObs* obs) {
+        return run(static_cast<std::uint32_t>(p), obs);
       },
-      control, &report);
-  report.stale_records += stale.load(std::memory_order_relaxed);
+      observers, coordinator.options(), label,
+      [&](std::size_t p) { return derive_seed(root_seed, label_key, p); }, &report);
   coordinator.absorb(report);
-
-  if (report.interrupted) return;  // partial sweep: caller withholds artifacts
-  for (std::uint32_t p = 0; p < patterns; ++p) consume(p, outcomes[p]);
+  if (!observers.empty()) {
+    if (!metrics_.has_value()) metrics_.emplace();
+    for (const obs::TrialObs& o : observers) metrics_->merge(*o.metrics());
+  }
+  return runs;
 }
 
 }  // namespace xres::study

@@ -2,10 +2,9 @@
 
 /// \file harness.hpp
 /// The live harness plumbing a study run owns: crash-safety coordination
-/// (journal/resume/watchdog/shutdown), observed batch execution, and the
-/// crash-safe pattern loop for hand-rolled sweeps. Moved here from
-/// bench/common.cpp so the bench binaries, the xres CLI and the suite
-/// runner share exactly one copy.
+/// (journal/resume/watchdog/shutdown) and observed batch execution for
+/// hand-rolled sweeps. Moved here from bench/common.cpp so the bench
+/// binaries, the xres CLI and the suite runner share exactly one copy.
 
 #include <functional>
 #include <memory>
@@ -15,7 +14,7 @@
 #include <vector>
 
 #include "core/single_app_study.hpp"
-#include "core/workload_record.hpp"
+#include "core/workload_engine.hpp"
 #include "obs/trial_obs.hpp"
 #include "recovery/journal.hpp"
 #include "recovery/options.hpp"
@@ -65,11 +64,12 @@ class RecoveryCoordinator {
 };
 
 /// Observed batch execution for drivers that drive TrialExecutor directly
-/// (the ablation/extension harnesses): `run_batch` runs a batch under a
-/// RecoveryCoordinator and, when observation is requested, attaches one
-/// observer per trial, merges metrics in spec order, and keeps trial 0 of
-/// each batch as a trace track named \p label. Call finish() once after
-/// the sweep to write the artifacts.
+/// (the ablation/extension harnesses): `run_batch` and `run_patterns` run
+/// one batch of units through the executor's journaled loop under a
+/// RecoveryCoordinator and, when observation is requested, attach one
+/// observer per unit and merge metrics in unit order; `run_batch` also
+/// keeps trial 0 of each batch as a trace track named \p label. Call
+/// finish() once after the sweep to write the artifacts.
 class ObsCollector {
  public:
   explicit ObsCollector(ObsOptions options) : options_{std::move(options)} {}
@@ -80,6 +80,18 @@ class ObsCollector {
       const TrialExecutor& executor, std::uint64_t root_seed,
       std::span<const TrialSpec> specs, const std::string& label,
       RecoveryCoordinator& coordinator, const TrialProgress& progress = {});
+
+  /// The workload ablations' counterpart of run_batch: `run(p, obs)` for
+  /// each pattern p in [0, patterns), journaled under (\p label, p) and
+  /// fingerprinted by `derive_seed(root_seed, fnv1a(label), p)`. \p obs is
+  /// non-null only when --metrics is on. \p label must be stable across
+  /// runs and unique within the study (e.g. "variant/technique"). After an
+  /// interrupted loop (`coordinator.interrupted()`) the runs must not be
+  /// reduced.
+  [[nodiscard]] std::vector<WorkloadRunResult> run_patterns(
+      const TrialExecutor& executor, std::uint32_t patterns, std::uint64_t root_seed,
+      const std::string& label, RecoveryCoordinator& coordinator,
+      const std::function<WorkloadRunResult(std::uint32_t, obs::TrialObs*)>& run);
 
   /// Merged metrics so far (null until the first observed batch).
   [[nodiscard]] const obs::MetricSet* metrics() const {
@@ -95,21 +107,5 @@ class ObsCollector {
   std::optional<obs::MetricSet> metrics_;
   obs::TraceLog trace_;
 };
-
-/// Crash-safe pattern loop for the workload ablations that hand-build their
-/// `WorkloadEngineConfig`s (burst failures, PFS contention): runs `run(p)`
-/// for each pattern index in [0, patterns) under the coordinator's
-/// journal/resume/watchdog envelope, journaling each outcome under
-/// (\p label, p) — fingerprinted by (root_seed, label, p) — and restoring
-/// journaled outcomes on --resume. After the loop, `consume(p, outcome)` is
-/// invoked serially in pattern order (deterministic merges), or not at all
-/// when the loop drained on a shutdown signal — check
-/// `coordinator.interrupted()` afterwards. \p label must be stable across
-/// runs and unique within the driver (e.g. "variant/technique").
-void run_patterns_controlled(
-    RecoveryCoordinator& coordinator, const TrialExecutor& executor,
-    const std::string& label, std::uint32_t patterns, std::uint64_t root_seed,
-    const std::function<WorkloadOutcome(std::uint32_t)>& run,
-    const std::function<void(std::uint32_t, const WorkloadOutcome&)>& consume);
 
 }  // namespace xres::study

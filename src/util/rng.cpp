@@ -29,6 +29,15 @@ std::uint64_t hash_seed(std::span<const std::uint64_t> keys) {
   return splitmix64(state);
 }
 
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 Pcg32::Pcg32(std::uint64_t seed, std::uint64_t stream)
     : state_{0}, inc_{(stream << 1U) | 1U} {
   next_u32();

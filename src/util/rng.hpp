@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "util/check.hpp"
@@ -32,6 +33,13 @@ template <typename... Keys>
   const std::uint64_t arr[] = {root, static_cast<std::uint64_t>(keys)...};
   return hash_seed(std::span<const std::uint64_t>{arr});
 }
+
+/// 64-bit FNV-1a over \p text: turns a name (a journal batch label, a
+/// workload combo) into a seed key, so a record keyed by an edited or
+/// reordered name reads as stale instead of wrong. The offset basis is
+/// 1469598103934665603, one digit short of the published one; journal
+/// fingerprints depend on it, so it stays.
+[[nodiscard]] std::uint64_t fnv1a(std::string_view text);
 
 /// PCG32: 64-bit LCG state with xorshift-rotate output. Period 2^64 per
 /// stream; the stream selector picks one of 2^63 distinct sequences.

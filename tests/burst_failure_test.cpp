@@ -137,8 +137,8 @@ TEST(BurstFailures, WorkloadEngineBurstsIncreaseDrops) {
   config.resilience.node_mtbf = Duration::years(1.0);
 
   const WorkloadRunResult independent = run_workload(config, pattern);
-  config.burst_probability = 0.3;
-  config.burst_width = 500;
+  config.bursts.probability = 0.3;
+  config.bursts.width = 500;
   const WorkloadRunResult bursty = run_workload(config, pattern);
 
   EXPECT_EQ(bursty.completed + bursty.dropped, bursty.total_jobs);

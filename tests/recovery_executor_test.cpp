@@ -1,7 +1,8 @@
 // Tests for the executor's crash-safety envelope (for_each_controlled and
-// the controlled run_batch): resume determinism, watchdog timeouts, bounded
-// same-seed retry with quarantine, and graceful shutdown draining — the
-// invariants docs/ROBUSTNESS.md promises.
+// the journaled loop behind run_batch and run_workload_study): resume
+// determinism, stale-record detection, watchdog timeouts, bounded same-seed
+// retry with quarantine, and graceful shutdown draining — the invariants
+// docs/ROBUSTNESS.md promises, for both unit result types.
 
 #include "core/executor.hpp"
 
@@ -17,6 +18,8 @@
 
 #include "apps/app_type.hpp"
 #include "core/single_app_study.hpp"
+#include "core/workload_record.hpp"
+#include "core/workload_study.hpp"
 #include "recovery/journal.hpp"
 #include "recovery/shutdown.hpp"
 #include "util/deadline.hpp"
@@ -386,6 +389,110 @@ TEST(ControlledRunBatch, QuarantinedTrialYieldsZeroPlaceholderAndRecord) {
   }
   const ResumeIndex index = ResumeIndex::load(tmp.path, test_meta());
   EXPECT_EQ(index.size(), 3U);
+}
+
+// The same loop with the workload unit type, through run_workload_study.
+
+WorkloadStudyConfig small_workload_study() {
+  WorkloadStudyConfig study;
+  study.workload.arrival_count = 10;
+  study.patterns = 2;
+  study.collect_metrics = true;
+  return study;
+}
+
+std::vector<WorkloadCombo> two_combos() {
+  return {WorkloadCombo{SchedulerKind::kFcfs,
+                        TechniquePolicy::fixed_technique(TechniqueKind::kParallelRecovery)},
+          WorkloadCombo{SchedulerKind::kSlack,
+                        TechniquePolicy::fixed_technique(TechniqueKind::kMultilevel)}};
+}
+
+/// What a resumed study must reproduce byte for byte: the results table
+/// and every combo's merged metrics.
+std::string study_bytes(const std::vector<WorkloadComboResult>& results) {
+  std::string out = workload_results_table(results).to_text();
+  for (const WorkloadComboResult& r : results) {
+    if (r.metrics.has_value()) out += r.metrics->to_json();
+  }
+  return out;
+}
+
+TEST(JournaledWorkloadStudy, ResumeAtThreeThreadsReproducesResultsAndMetrics) {
+  const TempPath tmp{"workload_resume.jsonl"};
+  WorkloadStudyConfig study = small_workload_study();
+  study.threads = 1;
+  const std::string reference = study_bytes(run_workload_study(study, two_combos()));
+
+  BatchReport first;
+  {
+    TrialJournal journal{tmp.path, test_meta()};
+    study.recovery.journal = &journal;
+    EXPECT_EQ(study_bytes(run_workload_study(study, two_combos(), {}, &first)), reference);
+  }
+  EXPECT_EQ(first.executed, 4U);
+  // Workload records carry the same wall-time telemetry as trial records.
+  EXPECT_NE(read_file(tmp.path).find("\"w\":"), std::string::npos);
+
+  const ResumeIndex index = ResumeIndex::load(tmp.path, test_meta());
+  ASSERT_EQ(index.size(), 4U);
+  study.threads = 3;
+  study.recovery = TrialRecoveryOptions{};
+  study.recovery.resume = &index;
+  BatchReport second;
+  EXPECT_EQ(study_bytes(run_workload_study(study, two_combos(), {}, &second)), reference);
+  EXPECT_EQ(second.executed, 0U);
+  EXPECT_EQ(second.resumed, 4U);
+  EXPECT_EQ(second.stale_records, 0U);
+}
+
+TEST(JournaledWorkloadStudy, EditedComboMakesOnlyItsRecordsStale) {
+  const TempPath tmp{"workload_stale.jsonl"};
+  WorkloadStudyConfig study = small_workload_study();
+  study.threads = 2;
+  std::vector<WorkloadCombo> combos = two_combos();
+  {
+    TrialJournal journal{tmp.path, test_meta()};
+    study.recovery.journal = &journal;
+    (void)run_workload_study(study, combos);
+  }
+
+  // Same (batch, index) slots, but the second combo now names another
+  // scheduler: its fingerprints change, the first combo's do not.
+  combos[1].scheduler = SchedulerKind::kRandom;
+  const ResumeIndex index = ResumeIndex::load(tmp.path, test_meta());
+  study.recovery = TrialRecoveryOptions{};
+  study.recovery.resume = &index;
+  BatchReport report;
+  const std::string resumed = study_bytes(run_workload_study(study, combos, {}, &report));
+  EXPECT_EQ(report.resumed, 2U);
+  EXPECT_EQ(report.stale_records, 2U);
+  EXPECT_EQ(report.executed, 2U);
+  // And the edited combo's numbers are the edited study's, not the journal's.
+  study.recovery = TrialRecoveryOptions{};
+  EXPECT_EQ(resumed, study_bytes(run_workload_study(study, combos)));
+}
+
+TEST(JournaledWorkloadStudy, PayloadWithoutWallTimeStillParses) {
+  // A pattern-run payload in the format that predates the optional "w"/"a"
+  // keys on workload records: journals written that way must still resume.
+  const std::string payload =
+      R"({"result":{"jobs":109,"completed":72,"dropped":37,)"
+      R"("dropped_frac":0.3394495412844037,"dropped_before":32,"dropped_running":5,)"
+      R"("slowdown":[72,1.0599660803962643,0.07932450725277712,1.0029629629629602,)"
+      R"(1.446701495892775,0.01832268966534606],"queue_wait_h":[77,2.3013599683394674,)"
+      R"(7.491682550543451,0,41.0686295887764,1.6733319177015997],"failures":289,)"
+      R"("makespan_s":1034122.3734133609,"util":0.7170648409386997,"sel":[]}})";
+  const recovery::Outcome<WorkloadRunResult> outcome =
+      recovery::parse_outcome<WorkloadRunResult>(payload);
+  EXPECT_EQ(outcome.result.total_jobs, 109U);
+  EXPECT_EQ(outcome.result.dropped_fraction, 0.3394495412844037);
+  EXPECT_EQ(outcome.result.failures_injected, 289U);
+  EXPECT_FALSE(outcome.quarantined);
+  EXPECT_FALSE(outcome.metrics.has_value());
+  EXPECT_EQ(outcome.wall_seconds, 0.0);
+  EXPECT_EQ(outcome.attempts, 1U);
+  EXPECT_EQ(recovery::serialize_outcome(outcome), payload);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the crash-safety layer's storage primitives: CRC-32, atomic
 // file replacement, journal line framing, the tolerant ResumeIndex loader
 // (torn tails, corrupt records, duplicates, foreign journals), and the
-// trial/workload outcome payload round-trips that make resumed studies
-// byte-identical (docs/ROBUSTNESS.md).
+// outcome payload round-trips, for both unit result types, that make
+// resumed studies byte-identical (docs/ROBUSTNESS.md).
 
 #include "recovery/journal.hpp"
 
@@ -17,7 +17,6 @@
 #include "core/single_app_study.hpp"
 #include "core/workload_record.hpp"
 #include "recovery/json_parse.hpp"
-#include "recovery/trial_record.hpp"
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
@@ -247,17 +246,17 @@ TEST(TrialRecord, OutcomeRoundTripsByteIdentically) {
   config.app = AppSpec{app_type_by_name("C64"), 30000, 360};
   config.technique = TechniqueKind::kMultilevel;
 
-  TrialOutcome outcome;
+  Outcome<ExecutionResult> outcome;
   outcome.result = run_trial(config, 12345);
-  const std::string payload = serialize_trial_outcome(outcome);
+  const std::string payload = serialize_outcome(outcome);
 
-  const TrialOutcome parsed = parse_trial_outcome(payload);
+  const Outcome<ExecutionResult> parsed = parse_outcome<ExecutionResult>(payload);
   EXPECT_EQ(parsed.result.efficiency, outcome.result.efficiency);
   EXPECT_EQ(parsed.result.wall_time.to_seconds(), outcome.result.wall_time.to_seconds());
   EXPECT_EQ(parsed.result.failures_seen, outcome.result.failures_seen);
   EXPECT_FALSE(parsed.quarantined);
   // Serialize(parse(x)) == x: nothing is lost or reformatted.
-  EXPECT_EQ(serialize_trial_outcome(parsed), payload);
+  EXPECT_EQ(serialize_outcome(parsed), payload);
 }
 
 TEST(TrialRecord, OutcomeWithMetricsRoundTrips) {
@@ -267,36 +266,37 @@ TEST(TrialRecord, OutcomeWithMetricsRoundTrips) {
 
   obs::TrialObs obs;
   obs.enable_metrics();
-  TrialOutcome outcome;
+  Outcome<ExecutionResult> outcome;
   outcome.result = run_trial(config, 777, &obs);
   outcome.metrics = *obs.metrics();
 
-  const std::string payload = serialize_trial_outcome(outcome);
-  const TrialOutcome parsed = parse_trial_outcome(payload);
+  const std::string payload = serialize_outcome(outcome);
+  const Outcome<ExecutionResult> parsed = parse_outcome<ExecutionResult>(payload);
   ASSERT_TRUE(parsed.metrics.has_value());
-  EXPECT_EQ(serialize_trial_outcome(parsed), payload);
+  EXPECT_EQ(serialize_outcome(parsed), payload);
 }
 
 TEST(TrialRecord, QuarantineMarkerRoundTrips) {
-  TrialOutcome outcome;
+  Outcome<ExecutionResult> outcome;
   outcome.quarantined = true;
   outcome.quarantine_reason = "watchdog: trial exceeded 2.5s";
-  const TrialOutcome parsed = parse_trial_outcome(serialize_trial_outcome(outcome));
+  const Outcome<ExecutionResult> parsed =
+      parse_outcome<ExecutionResult>(serialize_outcome(outcome));
   EXPECT_TRUE(parsed.quarantined);
   EXPECT_EQ(parsed.quarantine_reason, outcome.quarantine_reason);
   EXPECT_EQ(parsed.result.efficiency, 0.0);
 }
 
 TEST(TrialRecord, MalformedPayloadsThrowNotCrash) {
-  EXPECT_THROW((void)parse_trial_outcome(""), JsonParseError);
-  EXPECT_THROW((void)parse_trial_outcome("{"), JsonParseError);
-  EXPECT_THROW((void)parse_trial_outcome("{}"), JsonParseError);
-  EXPECT_THROW((void)parse_trial_outcome(R"({"eff":true})"), JsonParseError);
-  EXPECT_THROW((void)parse_trial_outcome("[1,2,3]"), JsonParseError);
+  EXPECT_THROW((void)parse_outcome<ExecutionResult>(""), JsonParseError);
+  EXPECT_THROW((void)parse_outcome<ExecutionResult>("{"), JsonParseError);
+  EXPECT_THROW((void)parse_outcome<ExecutionResult>("{}"), JsonParseError);
+  EXPECT_THROW((void)parse_outcome<ExecutionResult>(R"({"eff":true})"), JsonParseError);
+  EXPECT_THROW((void)parse_outcome<ExecutionResult>("[1,2,3]"), JsonParseError);
 }
 
 TEST(WorkloadRecord, OutcomeRoundTripsByteIdentically) {
-  WorkloadOutcome outcome;
+  Outcome<WorkloadRunResult> outcome;
   outcome.result.total_jobs = 40;
   outcome.result.completed = 37;
   outcome.result.dropped = 3;
@@ -306,26 +306,26 @@ TEST(WorkloadRecord, OutcomeRoundTripsByteIdentically) {
   outcome.result.selection_counts[TechniqueKind::kMultilevel] = 12;
   outcome.result.selection_counts[TechniqueKind::kParallelRecovery] = 25;
 
-  const std::string payload = serialize_workload_outcome(outcome);
-  const WorkloadOutcome parsed = parse_workload_outcome(payload);
+  const std::string payload = serialize_outcome(outcome);
+  const Outcome<WorkloadRunResult> parsed = parse_outcome<WorkloadRunResult>(payload);
   EXPECT_EQ(parsed.result.total_jobs, 40U);
   EXPECT_EQ(parsed.result.dropped_fraction, outcome.result.dropped_fraction);
   EXPECT_EQ(parsed.result.mean_utilization, outcome.result.mean_utilization);
   EXPECT_EQ(parsed.result.selection_counts.at(TechniqueKind::kMultilevel), 12U);
-  EXPECT_EQ(serialize_workload_outcome(parsed), payload);
+  EXPECT_EQ(serialize_outcome(parsed), payload);
 }
 
 TEST(WorkloadRecord, MalformedPayloadsThrowNotCrash) {
-  EXPECT_THROW((void)parse_workload_outcome("{}"), JsonParseError);
-  EXPECT_THROW((void)parse_workload_outcome("null"), JsonParseError);
+  EXPECT_THROW((void)parse_outcome<WorkloadRunResult>("{}"), JsonParseError);
+  EXPECT_THROW((void)parse_outcome<WorkloadRunResult>("null"), JsonParseError);
   // An out-of-range technique id in the selection counts is corruption.
-  WorkloadOutcome outcome;
+  Outcome<WorkloadRunResult> outcome;
   outcome.result.selection_counts[TechniqueKind::kMultilevel] = 1;
-  std::string payload = serialize_workload_outcome(outcome);
+  std::string payload = serialize_outcome(outcome);
   const std::size_t sel = payload.find("\"sel\":[[");
   ASSERT_NE(sel, std::string::npos);
   payload.replace(sel + 8, 1, "99");
-  EXPECT_THROW((void)parse_workload_outcome(payload), JsonParseError);
+  EXPECT_THROW((void)parse_outcome<WorkloadRunResult>(payload), JsonParseError);
 }
 
 }  // namespace

@@ -145,7 +145,7 @@ TEST_P(WorkloadFuzz, AccountingIdentitiesHold) {
   config.policy = TechniquePolicy::fixed_technique(
       kinds[static_cast<std::size_t>(rng.next_below(static_cast<std::uint32_t>(kinds.size())))]);
   config.seed = seed;
-  config.burst_probability = rng.bernoulli(0.5) ? 0.2 : 0.0;
+  config.bursts.probability = rng.bernoulli(0.5) ? 0.2 : 0.0;
   config.machine.platform.pfs_gateways = rng.bernoulli(0.5) ? 4 : 0;
 
   const WorkloadRunResult result = run_workload(config, pattern);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -34,11 +35,17 @@ struct SmokeArtifacts {
   std::string metrics_bytes;
 };
 
-/// Runs \p def with every trial/pattern/trace count set to \p count.
+/// Runs \p def with every trial/pattern/trace count set to \p count;
+/// \p adjust (optional) edits the harness options last.
 SmokeArtifacts run_smoke(const StudyDefinition& def, unsigned threads,
-                         const char* count = "2") {
-  const std::string base = ::testing::TempDir() + "smoke_" + def.name + "_t" +
-                           std::to_string(threads);
+                         const char* count = "2",
+                         const std::function<void(HarnessOptions&)>& adjust = {}) {
+  // Named after the running test too: ctest runs tests as parallel
+  // processes, and two tests running one study must not share files.
+  const std::string base =
+      ::testing::TempDir() + "smoke_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" + def.name +
+      "_t" + std::to_string(threads);
   ParamSet params{def};
   for (const char* key : {"trials", "patterns", "traces"}) {
     if (def.find_param(key) != nullptr) params.set(key, count);
@@ -52,6 +59,7 @@ SmokeArtifacts run_smoke(const StudyDefinition& def, unsigned threads,
   if (def.options.obs != StudyOptionsSpec::Obs::kNone) {
     options.obs.metrics_path = base + ".metrics.json";
   }
+  if (adjust) adjust(options);
 
   SmokeArtifacts result;
   // Route run status (wall-clock phase timings, "written to" notices) to
@@ -140,6 +148,32 @@ TEST(StudySmoke, PfsContentionMatchesGolden) {
       std::string{XRES_TEST_DATA_DIR} + "/ablation_pfs_contention_p1";
   expect_golden(base + ".txt", run.stdout_bytes);
   expect_golden(base + ".metrics.json", run.metrics_bytes);
+}
+
+// A workload ablation's journal written without --metrics holds no per-run
+// metrics, so resuming it with --metrics must re-run those pattern runs
+// instead of merging holes: the resumed report and metrics must equal the
+// uninterrupted goldens.
+TEST(StudySmoke, PfsContentionResumeRestoresMetrics) {
+  const StudyDefinition* def =
+      StudyRegistry::instance().find("ablation_pfs_contention");
+  ASSERT_NE(def, nullptr);
+  const std::string journal = ::testing::TempDir() + "smoke_pfs_resume.jsonl";
+  const SmokeArtifacts first = run_smoke(*def, 1, "1", [&](HarnessOptions& options) {
+    options.obs.metrics_path.clear();
+    options.recovery.journal_path = journal;
+  });
+  ASSERT_EQ(first.exit_code, 0);
+  const SmokeArtifacts resumed = run_smoke(*def, 1, "1", [&](HarnessOptions& options) {
+    options.recovery.journal_path = journal;
+    options.recovery.resume = true;
+  });
+  std::remove(journal.c_str());
+  ASSERT_EQ(resumed.exit_code, 0);
+  const std::string base =
+      std::string{XRES_TEST_DATA_DIR} + "/ablation_pfs_contention_p1";
+  EXPECT_EQ(resumed.stdout_bytes, read_file(base + ".txt"));
+  EXPECT_EQ(resumed.metrics_bytes, read_file(base + ".metrics.json"));
 }
 
 }  // namespace

@@ -142,6 +142,15 @@ TEST(DeriveSeed, OrderAndValueSensitive) {
   EXPECT_EQ(derive_seed(1, 2, 3), derive_seed(1, 2, 3));
 }
 
+TEST(Fnv1a, PinnedValuesKeepJournalFingerprintsStable) {
+  // Journals fingerprint workload records with this hash: a different value
+  // would turn every record an earlier build wrote into a stale one.
+  EXPECT_EQ(fnv1a(""), 0x14650fb0739d0383ULL);
+  EXPECT_EQ(fnv1a("a"), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x88fad7c0a8ff07f2ULL);
+  EXPECT_NE(fnv1a("ab"), fnv1a("ba"));
+}
+
 TEST(DiscreteDistribution, ProbabilitiesNormalized) {
   const std::vector<double> w{2.0, 6.0, 2.0};
   DiscreteDistribution dist{w};

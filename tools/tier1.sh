@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build and run the full test suite, then
 # rebuild the library + tests under ThreadSanitizer and run the executor
-# tests (the only concurrent code path) plus the event-queue oracle under
-# it. Also replays a small study twice (and across thread counts) and
+# tests (the only concurrent code path, journaled loop included) plus the
+# event-queue oracle under it. Also replays a small study twice (and across thread counts) and
 # requires byte-identical artifacts — the determinism contract every
 # engine change must uphold.
 #
@@ -46,7 +46,7 @@ cmake -B "$TSAN_BUILD" -S . -DXRES_TSAN=ON \
 cmake --build "$TSAN_BUILD" -j "$(nproc)"
 stage_done tsan-build
 ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-  -R "TrialExecutor|Integration|Obs|SimOracle|Surrogate"
+  -R "TrialExecutor|Integration|Obs|SimOracle|Surrogate|ForEachControlled|ControlledRunBatch|ShutdownTest|JournaledWorkloadStudy"
 stage_done tsan-ctest
 
 # Observability smoke under TSAN: a threaded study with per-trial metrics
@@ -283,7 +283,14 @@ EOF
     --out-dir "$dir/crash" --resume > /dev/null
   "$BUILD"/tools/xres suite verify --out-dir "$dir/crash"
   diff -r --exclude=journals --exclude=perf.json "$dir/ref" "$dir/crash"
-  echo "sweep: OK (spec == compiled-in, 2x2 grid threads-invariant + resumable)"
+
+  # A workload ablation as a sweep cell: the cell must write the metrics
+  # artifact its study accepts --metrics for, and verify against its manifest.
+  "$BUILD"/tools/xres sweep ablation_pfs_contention_topology --axis patterns=1 \
+    --out-dir "$dir/topology" > /dev/null
+  "$BUILD"/tools/xres suite verify --out-dir "$dir/topology"
+  echo "sweep: OK (spec == compiled-in, 2x2 grid threads-invariant + resumable," \
+    "topology ablation cell verified)"
 }
 sweep_check
 stage_done sweep
