@@ -1,8 +1,6 @@
-// The built-in adhoc studies: `xres efficiency` and `xres workload`, the
-// CLI's parameterized exploration surfaces. They live in the study library
-// (not bench/) because the tier-1 TSAN pass builds with XRES_BUILD_BENCH=OFF
-// and still runs `xres efficiency` — the catalog must not depend on the
-// bench target being configured.
+// The adhoc studies `xres efficiency` and `xres workload`: the CLI's
+// parameterized exploration surfaces (a technique-efficiency sweep over
+// application sizes, and one oversubscribed-machine workload combo).
 
 #include <cstdio>
 #include <vector>
@@ -121,52 +119,50 @@ int run_workload_adhoc(StudyContext& ctx) {
   return rec.finish();
 }
 
-}  // namespace
-
-namespace detail {
-
-void register_builtin_studies(StudyRegistry& registry) {
-  {
-    StudyDefinition def;
-    def.name = "efficiency";
-    def.group = StudyGroup::kAdhoc;
-    def.description = "technique-efficiency sweep over application sizes";
-    def.summary = "xres efficiency — technique-efficiency sweep over application sizes";
-    def.journal_id = "xres efficiency";  // historical journal identity
-    def.options.default_seed = 20170529;
-    def.options.chart = true;
-    def.params.text("type", "application type (Table I)", "C64");
-    def.params.real("mtbf-years", "per-node MTBF", 10).min(0.001);
-    def.params.integer("trials", "trials per cell", 50).min(1);
-    def.params.real("baseline-hours", "delay-free execution time", 24).min(0.001);
-    def.params.text("surrogate",
-                    "sim | analytic | auto — answer cells from the analytic "
-                    "surrogate with a per-cell error bound (docs/STUDIES.md)",
-                    "sim");
-    def.run = run_efficiency_adhoc;
-    registry.add(std::move(def));
-  }
-  {
-    StudyDefinition def;
-    def.name = "workload";
-    def.group = StudyGroup::kAdhoc;
-    def.description = "oversubscribed-machine dropped-applications study";
-    def.summary = "xres workload — oversubscribed-machine study";
-    def.journal_id = "xres workload";  // historical journal identity
-    def.options.default_seed = 20170530;
-    def.options.obs = StudyOptionsSpec::Obs::kNoTrace;
-    def.params.text("scheduler", "FCFS | Random | Slack | FirstFit | SJF | TopoPack",
-                    "Slack");
-    def.params.text("technique", "technique name, 'selection' or 'none'",
-                    "parallel-recovery");
-    def.params.integer("patterns", "arrival patterns to average", 10).min(1);
-    def.params.real("mtbf-years", "per-node MTBF", 10).min(0.001);
-    def.params.text("bias", "unbiased | high-memory | high-communication | large-apps",
-                    "unbiased");
-    def.run = run_workload_adhoc;
-    registry.add(std::move(def));
-  }
+StudyDefinition make_efficiency() {
+  StudyDefinition def;
+  def.name = "efficiency";
+  def.group = StudyGroup::kAdhoc;
+  def.description = "technique-efficiency sweep over application sizes";
+  def.summary = "xres efficiency — technique-efficiency sweep over application sizes";
+  def.journal_id = "xres efficiency";  // historical journal identity
+  def.options.default_seed = 20170529;
+  def.options.chart = true;
+  def.params.text("type", "application type (Table I)", "C64");
+  def.params.real("mtbf-years", "per-node MTBF", 10).min(0.001);
+  def.params.integer("trials", "trials per cell", 50).min(1);
+  def.params.real("baseline-hours", "delay-free execution time", 24).min(0.001);
+  def.params.text("surrogate",
+                  "sim | analytic | auto — answer cells from the analytic "
+                  "surrogate with a per-cell error bound (docs/STUDIES.md)",
+                  "sim");
+  def.run = run_efficiency_adhoc;
+  return def;
 }
 
-}  // namespace detail
+StudyDefinition make_workload() {
+  StudyDefinition def;
+  def.name = "workload";
+  def.group = StudyGroup::kAdhoc;
+  def.description = "oversubscribed-machine dropped-applications study";
+  def.summary = "xres workload — oversubscribed-machine study";
+  def.journal_id = "xres workload";  // historical journal identity
+  def.options.default_seed = 20170530;
+  def.options.obs = StudyOptionsSpec::Obs::kNoTrace;
+  def.params.text("scheduler", "FCFS | Random | Slack | FirstFit | SJF | TopoPack",
+                  "Slack");
+  def.params.text("technique", "technique name, 'selection' or 'none'",
+                  "parallel-recovery");
+  def.params.integer("patterns", "arrival patterns to average", 10).min(1);
+  def.params.real("mtbf-years", "per-node MTBF", 10).min(0.001);
+  def.params.text("bias", "unbiased | high-memory | high-communication | large-apps",
+                  "unbiased");
+  def.run = run_workload_adhoc;
+  return def;
+}
+
+const Registration efficiency_registered{make_efficiency()};
+const Registration workload_registered{make_workload()};
+
+}  // namespace
 }  // namespace xres::study

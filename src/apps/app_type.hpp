@@ -34,9 +34,7 @@ struct AppType {
   /// T_W = 1 - T_C.
   [[nodiscard]] double work_fraction() const { return 1.0 - comm_fraction; }
 
-  friend bool operator==(const AppType& a, const AppType& b) {
-    return a.name == b.name;
-  }
+  friend bool operator==(const AppType&, const AppType&) = default;
 };
 
 /// Length of one synthetic time step (paper: one minute).

@@ -52,6 +52,8 @@ struct AppSpec {
   [[nodiscard]] std::string describe() const;
 
   void validate() const;
+
+  friend bool operator==(const AppSpec&, const AppSpec&) = default;
 };
 
 /// Identifier for an application instance in a workload.

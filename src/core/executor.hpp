@@ -62,6 +62,9 @@ struct SingleAppTrialConfig {
   MachineSpec machine{};
   ResilienceConfig resilience{};
   FailureDistribution failure_distribution{FailureDistribution::exponential()};
+
+  friend bool operator==(const SingleAppTrialConfig&,
+                         const SingleAppTrialConfig&) = default;
 };
 
 /// Execute an explicit (possibly hand-modified) plan under its own failure

@@ -146,9 +146,7 @@ EfficiencyStudyResult run_surrogate_study(const EfficiencyStudyConfig& config,
           make_plan(trial.technique, trial.app, trial.machine, trial.resilience);
       const double analytic = predict_efficiency(plan, trial.resilience);
 
-      const std::string key =
-          memoizable ? surrogate_cell_key(trial, config.seed, si, ti, config.trials)
-                     : std::string{};
+      const SurrogateCellKey key{trial, config.seed, si, ti, config.trials};
       std::optional<SurrogateAnchor> memo =
           memoizable ? surrogate_memo_find(key) : std::nullopt;
       SurrogateAnchor anchor;

@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <mutex>
-#include <sstream>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -47,33 +47,11 @@ SurrogateEstimate surrogate_estimate(const SurrogateAnchor& a, const SurrogateAn
   return est;
 }
 
-std::string surrogate_cell_key(const SingleAppTrialConfig& trial, std::uint64_t seed,
-                               std::size_t si, std::size_t ti, std::uint32_t trials) {
-  std::ostringstream key;
-  key.precision(17);
-  const ResilienceConfig& r = trial.resilience;
-  const FailureDistribution& d = trial.failure_distribution;
-  // Every plan- or trial-relevant field: any two configs that differ in a
-  // way a trial can observe must fingerprint differently (the memo is a
-  // correctness-critical cache, not a heuristic one).
-  key << trial.machine.describe() << '|' << trial.app.type.name << '|'
-      << to_string(trial.technique) << '|' << trial.app.nodes << '|'
-      << trial.app.time_steps << '|' << r.node_mtbf.to_seconds() << '|';
-  for (double w : r.severity_weights) key << w << ',';
-  key << '|' << r.comm_slowdown_per_tc << '|' << r.recovery_parallelism << '|'
-      << r.partial_redundancy << '|' << r.full_redundancy << '|' << r.max_slowdown
-      << '|' << r.max_nesting << '|' << r.adaptive_interval << '|'
-      << r.semi_blocking_work_rate << '|' << r.checkpoint_compression << '|'
-      << static_cast<int>(d.kind()) << '|' << d.shape() << '|' << seed << '|' << si
-      << '|' << ti << '|' << trials;
-  return key.str();
-}
-
 namespace {
 
 struct AnchorMemo {
   std::mutex mutex;
-  std::unordered_map<std::string, SurrogateAnchor> entries;
+  std::vector<std::pair<SurrogateCellKey, SurrogateAnchor>> entries;
 };
 
 AnchorMemo& anchor_memo() {
@@ -83,18 +61,21 @@ AnchorMemo& anchor_memo() {
 
 }  // namespace
 
-std::optional<SurrogateAnchor> surrogate_memo_find(const std::string& key) {
+std::optional<SurrogateAnchor> surrogate_memo_find(const SurrogateCellKey& key) {
   AnchorMemo& memo = anchor_memo();
   const std::lock_guard<std::mutex> lock{memo.mutex};
-  const auto it = memo.entries.find(key);
-  if (it == memo.entries.end()) return std::nullopt;
-  return it->second;
+  for (const auto& [stored, anchor] : memo.entries) {
+    if (stored == key) return anchor;
+  }
+  return std::nullopt;
 }
 
-void surrogate_memo_store(const std::string& key, const SurrogateAnchor& anchor) {
+void surrogate_memo_store(const SurrogateCellKey& key, const SurrogateAnchor& anchor) {
+  // A racing duplicate is harmless: equal keys simulate equal anchors, and
+  // find returns the first.
   AnchorMemo& memo = anchor_memo();
   const std::lock_guard<std::mutex> lock{memo.mutex};
-  memo.entries.emplace(key, anchor);
+  memo.entries.emplace_back(key, anchor);
 }
 
 }  // namespace xres

@@ -39,51 +39,26 @@ const SeverityModel& cached_severity_model(const std::vector<double>& weights) {
   return *cache.model;
 }
 
-namespace {
-
-bool same_config(const SingleAppTrialConfig& a, const SingleAppTrialConfig& b) {
-  // The plan-relevant fields only: failure_distribution is not a make_plan
-  // input, so it deliberately does not participate in the cache key.
-  const AppType& at = a.app.type;
-  const AppType& bt = b.app.type;
-  return a.technique == b.technique && at.name == bt.name &&
-         at.comm_fraction == bt.comm_fraction &&
-         at.memory_per_node == bt.memory_per_node && a.app.nodes == b.app.nodes &&
-         a.app.time_steps == b.app.time_steps &&
-         a.machine.node.tflops == b.machine.node.tflops &&
-         a.machine.node.cores == b.machine.node.cores &&
-         a.machine.node.memory == b.machine.node.memory &&
-         a.machine.node.memory_bandwidth == b.machine.node.memory_bandwidth &&
-         a.machine.network.latency == b.machine.network.latency &&
-         a.machine.network.bandwidth == b.machine.network.bandwidth &&
-         a.machine.network.switch_connections == b.machine.network.switch_connections &&
-         a.machine.node_count == b.machine.node_count &&
-         a.resilience.node_mtbf == b.resilience.node_mtbf &&
-         a.resilience.severity_weights == b.resilience.severity_weights &&
-         a.resilience.comm_slowdown_per_tc == b.resilience.comm_slowdown_per_tc &&
-         a.resilience.recovery_parallelism == b.resilience.recovery_parallelism &&
-         a.resilience.partial_redundancy == b.resilience.partial_redundancy &&
-         a.resilience.full_redundancy == b.resilience.full_redundancy &&
-         a.resilience.max_slowdown == b.resilience.max_slowdown &&
-         a.resilience.max_nesting == b.resilience.max_nesting &&
-         a.resilience.adaptive_interval == b.resilience.adaptive_interval &&
-         a.resilience.semi_blocking_work_rate == b.resilience.semi_blocking_work_rate &&
-         a.resilience.checkpoint_compression == b.resilience.checkpoint_compression;
-}
-
-}  // namespace
-
 const ExecutionPlan& cached_plan(const SingleAppTrialConfig& config) {
+  // Keyed on exactly the make_plan inputs: failure_distribution is not one,
+  // so trials that differ only there share a plan.
   struct Cache {
     bool valid{false};
-    SingleAppTrialConfig key;
+    TechniqueKind technique{};
+    AppSpec app;
+    MachineSpec machine;
+    ResilienceConfig resilience;
     ExecutionPlan plan;
   };
   thread_local Cache cache;
-  if (!cache.valid || !same_config(cache.key, config)) {
+  if (!cache.valid || cache.technique != config.technique || cache.app != config.app ||
+      cache.machine != config.machine || cache.resilience != config.resilience) {
     cache.plan =
         make_plan(config.technique, config.app, config.machine, config.resilience);
-    cache.key = config;
+    cache.technique = config.technique;
+    cache.app = config.app;
+    cache.machine = config.machine;
+    cache.resilience = config.resilience;
     cache.valid = true;
   }
   return cache.plan;

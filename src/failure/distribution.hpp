@@ -40,6 +40,9 @@ class FailureDistribution {
   /// Returns Duration::infinity() for a zero rate.
   [[nodiscard]] Duration draw(Pcg32& rng, Rate rate) const;
 
+  friend bool operator==(const FailureDistribution&,
+                         const FailureDistribution&) = default;
+
  private:
   FailureDistribution(FailureDistributionKind kind, double shape)
       : kind_{kind}, shape_{shape} {}

@@ -2,7 +2,7 @@
 
 /// \file json.hpp
 /// Minimal deterministic JSON emission for the observability artifacts
-/// (`--metrics`, `--trace`, `BENCH_engine.json`).
+/// (`--metrics`, `--trace`, suite manifests, `perf.json`, the run ledger).
 ///
 /// Determinism is a hard requirement: the metrics file must be
 /// byte-identical for every `--threads` value, so numbers are rendered with

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/json.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
 
@@ -71,12 +70,6 @@ std::string PhaseProfiler::summary() const {
   }
   if (out.empty()) return "(no phases)";
   return out + " = " + fmt_double(total_seconds(), 2) + " s";
-}
-
-void PhaseProfiler::append_json(JsonWriter& w) const {
-  for (const auto& [name, seconds] : phases()) {
-    w.key(name + "_s").value(seconds);
-  }
 }
 
 std::string render_progress(const std::string& unit, std::size_t done,

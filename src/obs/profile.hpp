@@ -7,7 +7,7 @@
 /// These measure *host* time (std::chrono::steady_clock), unlike everything
 /// else in obs which runs on simulated time — so profiler output is
 /// intentionally kept OUT of the deterministic `--metrics` artifact and
-/// goes to stderr / BENCH_engine.json instead.
+/// goes to stderr instead.
 
 #include <chrono>
 #include <cstdio>
@@ -17,8 +17,6 @@
 #include <vector>
 
 namespace xres::obs {
-
-class JsonWriter;
 
 /// Accumulating named wall-clock phases (setup / run / reduce). begin()
 /// closes the previous phase; repeated names accumulate into one entry.
@@ -36,9 +34,6 @@ class PhaseProfiler {
 
   /// One line, e.g. "setup 0.01 s + run 3.21 s + reduce 0.02 s = 3.24 s".
   [[nodiscard]] std::string summary() const;
-
-  /// Append {"<name>_s": seconds, ...} fields to an open JSON object.
-  void append_json(JsonWriter& w) const;
 
  private:
   [[nodiscard]] double open_elapsed() const;

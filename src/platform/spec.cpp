@@ -70,7 +70,8 @@ std::string MachineSpec::describe() const {
                 to_string(network.latency).c_str(), network.switch_connections);
   std::string out{buf};
   // Appended only for non-default models: the flat describe() string is a
-  // frozen artifact (figure headers, surrogate memo keys).
+  // frozen artifact (figure headers and reports). It rounds and omits
+  // fields (B_M among them), so it is a label, never a cache key.
   if (platform.model != PlatformModelKind::kFlat) {
     out += "; platform=";
     out += platform.describe();

@@ -24,6 +24,8 @@ struct NodeSpec {
   DataSize memory{DataSize::gigabytes(128.0)};
   /// Aggregate memory bandwidth B_M used for in-RAM checkpoints (Eq. 5).
   Bandwidth memory_bandwidth{Bandwidth::gigabytes_per_second(320.0)};
+
+  friend bool operator==(const NodeSpec&, const NodeSpec&) = default;
 };
 
 /// The interconnect + parallel-file-system path (paper Section III-F).
@@ -31,6 +33,8 @@ struct NetworkSpec {
   Duration latency{Duration::microseconds(0.5)};  ///< L
   Bandwidth bandwidth{Bandwidth::gigabytes_per_second(600.0)};  ///< B_N
   std::uint32_t switch_connections{12};  ///< N_S: simultaneous connections per switch
+
+  friend bool operator==(const NetworkSpec&, const NetworkSpec&) = default;
 };
 
 /// Which platform model answers data-movement questions
@@ -55,6 +59,8 @@ struct FatTreeParams {
   double taper{1.0};
   /// PFS service channels (spindles/gateway streams); 0 = use N_S.
   std::uint32_t pfs_channels{0};
+
+  friend bool operator==(const FatTreeParams&, const FatTreeParams&) = default;
 };
 
 /// Platform-model selection, carried by MachineSpec. The default (`flat`)
@@ -73,6 +79,8 @@ struct PlatformSpec {
 
   /// Short parenthesized summary, e.g. "fattree(radix=12,taper=1.00,pfs=12)".
   [[nodiscard]] std::string describe() const;
+
+  friend bool operator==(const PlatformSpec&, const PlatformSpec&) = default;
 };
 
 /// The whole machine.
@@ -103,6 +111,8 @@ struct MachineSpec {
 
   /// One-line human-readable description.
   [[nodiscard]] std::string describe() const;
+
+  friend bool operator==(const MachineSpec&, const MachineSpec&) = default;
 };
 
 }  // namespace xres

@@ -58,6 +58,8 @@ struct ResilienceConfig {
   double checkpoint_compression{1.0};
 
   void validate() const;
+
+  friend bool operator==(const ResilienceConfig&, const ResilienceConfig&) = default;
 };
 
 }  // namespace xres

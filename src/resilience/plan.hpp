@@ -37,6 +37,8 @@ struct CheckpointLevelSpec {
   /// literally (byte-identical legacy behavior).
   DataSize pfs_bytes{DataSize::zero()};
   Bandwidth pfs_rate_cap{Bandwidth::bytes_per_second(0.0)};
+
+  friend bool operator==(const CheckpointLevelSpec&, const CheckpointLevelSpec&) = default;
 };
 
 struct ExecutionPlan {
@@ -111,6 +113,8 @@ struct ExecutionPlan {
   [[nodiscard]] std::size_t recovery_level_for(SeverityLevel severity) const;
 
   void validate() const;
+
+  friend bool operator==(const ExecutionPlan&, const ExecutionPlan&) = default;
 };
 
 }  // namespace xres

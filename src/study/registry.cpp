@@ -187,18 +187,10 @@ std::string ParamSet::str(const std::string& key) const {
   return it->second;
 }
 
-namespace detail {
-void register_builtin_studies(StudyRegistry& registry);
-}  // namespace detail
-
 StudyRegistry& StudyRegistry::instance() {
   // Leaked on purpose: study Registrations run during static init and the
   // registry must outlive every other static destructor.
-  static StudyRegistry* registry = [] {
-    auto* r = new StudyRegistry();
-    detail::register_builtin_studies(*r);
-    return r;
-  }();
+  static StudyRegistry* registry = new StudyRegistry();
   return *registry;
 }
 

@@ -215,8 +215,7 @@ void validate_param_value(const ParamSpec& spec, const std::string& value);
 /// The global study catalog.
 class StudyRegistry {
  public:
-  /// The singleton, with the built-in adhoc studies (efficiency, workload)
-  /// registered on first use.
+  /// The singleton; studies join it through Registration at static init.
   [[nodiscard]] static StudyRegistry& instance();
 
   /// Register a study. Throws CheckError on a duplicate name, an empty

@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "apps/app_type.hpp"
 #include "core/single_app_study.hpp"
+#include "core/trial_engine.hpp"
 #include "core/workload_study.hpp"
 #include "failure/severity.hpp"
 #include "resilience/planner.hpp"
@@ -213,6 +216,98 @@ TEST(TrialExecutor, TraceAndPlanSpecsRunThroughBatch) {
                    run_trial(std::get<TraceTrialSpec>(specs[1].work),
                              specs[1].derived_seed(3))
                        .efficiency);
+}
+
+/// The thread-local plan cache (core/trial_engine.hpp) must re-plan when
+/// any make_plan input changes. The walk below changes one input per step,
+/// each one the planner reads (asserted: the plan differs), and asks the
+/// cache right after the previous step warmed it with the old config.
+TEST(TrialExecutor, PlanCacheKeysOnEveryPlanInput) {
+  using Step = std::pair<const char*, std::function<void(SingleAppTrialConfig&)>>;
+  const std::vector<Step> steps{
+      {"machine.platform.model",
+       [](auto& c) { c.machine.platform.model = PlatformModelKind::kFattree; }},
+      {"machine.platform.fattree.pfs_channels",
+       [](auto& c) { c.machine.platform.fattree.pfs_channels = 1; }},
+      {"machine.platform.fattree.taper",
+       [](auto& c) { c.machine.platform.fattree.taper = 0.25; }},
+      {"machine.platform.fattree.leaf_radix",
+       [](auto& c) { c.machine.platform.fattree.leaf_radix = 8; }},
+      {"machine.network.bandwidth",
+       [](auto& c) { c.machine.network.bandwidth = Bandwidth::gigabytes_per_second(300.0); }},
+      {"machine.network.switch_connections",
+       [](auto& c) { c.machine.network.switch_connections = 6; }},
+      {"app.nodes", [](auto& c) { c.app.nodes = 20000; }},
+      {"app.time_steps", [](auto& c) { c.app.time_steps = 720; }},
+      {"resilience.node_mtbf",
+       [](auto& c) { c.resilience.node_mtbf = Duration::years(2.5); }},
+      {"resilience.max_slowdown", [](auto& c) { c.resilience.max_slowdown = 50.0; }},
+      {"resilience.checkpoint_compression",
+       [](auto& c) { c.resilience.checkpoint_compression = 0.5; }},
+      {"resilience.adaptive_interval",
+       [](auto& c) { c.resilience.adaptive_interval = true; }},
+      {"technique", [](auto& c) { c.technique = TechniqueKind::kMultilevel; }},
+      {"machine.node.memory_bandwidth",
+       [](auto& c) { c.machine.node.memory_bandwidth = Bandwidth::gigabytes_per_second(0.5); }},
+      {"resilience.severity_weights",
+       [](auto& c) { c.resilience.severity_weights = {0.2, 0.3, 0.5}; }},
+      {"resilience.max_nesting", [](auto& c) { c.resilience.max_nesting = 2; }},
+      {"technique (parallel recovery)",
+       [](auto& c) { c.technique = TechniqueKind::kParallelRecovery; }},
+      {"resilience.comm_slowdown_per_tc",
+       [](auto& c) { c.resilience.comm_slowdown_per_tc = 0.3; }},
+      {"resilience.recovery_parallelism",
+       [](auto& c) { c.resilience.recovery_parallelism = 8.0; }},
+      {"app.type.comm_fraction (same name)",
+       [](auto& c) { c.app.type.comm_fraction = 0.5; }},
+      {"app.type", [](auto& c) { c.app.type = app_type_by_name("B64"); }},
+      {"technique (full redundancy)",
+       [](auto& c) { c.technique = TechniqueKind::kRedundancyFull; }},
+      {"resilience.full_redundancy", [](auto& c) { c.resilience.full_redundancy = 1.8; }},
+      {"machine.node_count", [](auto& c) { c.machine.node_count = 30000; }},
+      {"technique (partial redundancy)",
+       [](auto& c) { c.technique = TechniqueKind::kRedundancyPartial; }},
+      {"resilience.partial_redundancy",
+       [](auto& c) { c.resilience.partial_redundancy = 1.25; }},
+      {"technique (semi-blocking)",
+       [](auto& c) { c.technique = TechniqueKind::kSemiBlockingCheckpoint; }},
+      {"resilience.semi_blocking_work_rate",
+       [](auto& c) { c.resilience.semi_blocking_work_rate = 0.25; }},
+  };
+  const auto plan_of = [](const SingleAppTrialConfig& c) {
+    return make_plan(c.technique, c.app, c.machine, c.resilience);
+  };
+
+  SingleAppTrialConfig config;
+  config.app = AppSpec{app_type_by_name("D64"), 30000, 360};
+  config.technique = TechniqueKind::kCheckpointRestart;
+  EXPECT_TRUE(cached_plan(config) == plan_of(config));
+  for (const auto& [input, change] : steps) {
+    const ExecutionPlan before = plan_of(config);
+    change(config);
+    const ExecutionPlan after = plan_of(config);
+    ASSERT_FALSE(after == before) << input << ": the step must change the plan";
+    EXPECT_TRUE(cached_plan(config) == after) << input << ": the cache kept the old plan";
+  }
+
+  // End to end: trials of two configs that differ only in the platform,
+  // run back to back on this thread, each run their own plan.
+  SingleAppTrialConfig flat;
+  flat.app = AppSpec{app_type_by_name("D64"), 30000, 360};
+  flat.technique = TechniqueKind::kCheckpointRestart;
+  SingleAppTrialConfig tree = flat;
+  tree.machine.platform.model = PlatformModelKind::kFattree;
+  tree.machine.platform.fattree.taper = 0.25;
+  const auto after_another_plan = [](const SingleAppTrialConfig& c) {
+    (void)cached_plan(small_config(TechniqueKind::kMultilevel));
+    return run_trial(c, 42).efficiency;
+  };
+  const double flat_alone = after_another_plan(flat);
+  const double tree_alone = after_another_plan(tree);
+  ASSERT_NE(flat_alone, tree_alone);
+  EXPECT_EQ(run_trial(tree, 42).efficiency, tree_alone);
+  EXPECT_EQ(run_trial(flat, 42).efficiency, flat_alone);
+  EXPECT_EQ(run_trial(tree, 42).efficiency, tree_alone);
 }
 
 }  // namespace

@@ -8,10 +8,9 @@
 #
 #   tools/tier1.sh [build-dir] [tsan-build-dir]
 #
-# Set XRES_PERF_GATE=1 to additionally run the engine microbenchmarks and
-# diff them against bench/BENCH_engine.baseline.json (>15% regression or a
-# batch-scaling collapse fails; see docs/PERFORMANCE.md for the policy and
-# baseline procedure). Set XRES_SMOKE_ALL=1 to additionally byte-compare
+# Also checks the committed study catalog (docs/STUDIES.md) against
+# `xres list --markdown`, and runs the benchmark's small-size self-test
+# (xbench/selftest.py). Set XRES_SMOKE_ALL=1 to additionally byte-compare
 # every registered study's artifacts across --threads 1 vs 2, and to run
 # the full differential matrix of the trial engine against its queued
 # reference and the surrogate (tier-1 ctest runs fast subsets; see
@@ -37,12 +36,11 @@ stage_done build
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 stage_done ctest
 
-# TSAN pass: library + tests + the xres CLI (benches/examples just re-link
-# the same library code and would double the build time for no extra
-# coverage; the CLI is kept so the observed-executor path below runs under
-# TSAN too).
+# TSAN pass: library + tests + the xres CLI (the examples just re-link the
+# same library code and would add build time for no extra coverage; the
+# CLI is kept so the observed-executor path below runs under TSAN too).
 cmake -B "$TSAN_BUILD" -S . -DXRES_TSAN=ON \
-  -DXRES_BUILD_BENCH=OFF -DXRES_BUILD_EXAMPLES=OFF -DXRES_BUILD_TOOLS=ON
+  -DXRES_BUILD_EXAMPLES=OFF -DXRES_BUILD_TOOLS=ON
 cmake --build "$TSAN_BUILD" -j "$(nproc)"
 stage_done tsan-build
 ctest --test-dir "$TSAN_BUILD" --output-on-failure \
@@ -496,6 +494,20 @@ surrogate_check() {
 surrogate_check
 stage_done surrogate
 
+# Catalog stage (docs/STUDIES.md): the committed catalog is the output of
+# `xres list --markdown`; a study registration change must regenerate it.
+"$BUILD"/tools/xres list --markdown | diff - docs/STUDIES.md
+echo "catalog: OK (docs/STUDIES.md matches xres list --markdown)"
+stage_done catalog
+
+# Benchmark stage (BENCHMARK.json): the benchmark's self-test runs every
+# workload at small sizes with its output and thread-invariance checks.
+# xbench calls library entry points directly (study registry, suite,
+# workload and efficiency drivers), so a change that breaks the benchmark
+# fails here. It configures and builds its own tree under .bench_build/.
+python3 xbench/selftest.py
+stage_done xbench-selftest
+
 # Opt-in full-catalog smoke: every registered study at tiny trial counts,
 # --threads 1 vs 2, artifacts byte-compared, plus the full differential
 # matrix (trial engine vs queued reference, surrogate) and the 200-config
@@ -505,18 +517,6 @@ if [[ "${XRES_SMOKE_ALL:-0}" == "1" ]]; then
   XRES_SMOKE_ALL=1 "$BUILD"/tests/xres_tests \
     --gtest_filter='StudySmoke.FullCatalog*:SurrogateDiff.*:SurrogateProperty.*'
   stage_done smoke-all
-fi
-
-# Opt-in perf gate: compare engine microbenchmarks against the committed
-# baseline. Off by default — shared/loaded runners are too noisy to block
-# every run on wall-clock numbers.
-if [[ "${XRES_PERF_GATE:-0}" == "1" ]]; then
-  cmake --build "$BUILD" -j "$(nproc)" --target perf_engine
-  "$BUILD"/bench/perf_engine --benchmark_min_time=0.2 --benchmark_repetitions=5 \
-    --benchmark_filter='BM_EventQueue|BM_Simulation|BM_SingleAppTrialFailureHeavy|BM_TrialBatchFailureHeavy|BM_TrialExecutorBatch|BM_WorkloadFattreeStorm' \
-    --out "$OBS_TMP/BENCH_engine.json"
-  python3 tools/perf_gate.py "$OBS_TMP/BENCH_engine.json" \
-    --baseline bench/BENCH_engine.baseline.json
 fi
 
 echo "tier-1 OK"
