@@ -10,7 +10,6 @@
 #include "runtime/app_runtime.hpp"
 #include "sim/simulation.hpp"
 #include "util/check.hpp"
-#include "util/deadline.hpp"
 #include "util/log.hpp"
 
 namespace xres {
@@ -79,13 +78,14 @@ ExecutionResult infeasible_result(const ExecutionPlan& plan, obs::TrialObs* obs)
   return result;
 }
 
-// A failure source is what the trial driver merges with the runtime's
-// slots: arm() runs once before the runtime starts, peek() reports the
-// pending failure's (time, seq), and fire() delivers it.
+// A failure source is the trial's horizon: arm() sets the Simulation's
+// horizon to the first failure before the runtime starts, and fire()
+// delivers the failure due there and moves the horizon to the next one
+// (or clears it).
 
 /// Failures drawn lazily in AppFailureProcess's exact RNG order: the first
 /// gap when armed, then per delivery a severity sample followed by the next
-/// gap. Each gap consumes one insertion seq, as its queued event would.
+/// gap. Each gap takes an insertion seq, as its queued event would.
 class DrawnFailures {
  public:
   DrawnFailures(Rate rate, const SeverityModel& severity,
@@ -95,147 +95,73 @@ class DrawnFailures {
         dist_{dist},
         rng_{derive_seed(seed, kFailureSeedTag)} {}
 
-  void arm(const Simulation& sim, DirectHost& host) { draw_next(sim, host); }
+  void arm(Simulation& sim) { draw_next(sim); }
 
-  bool peek(TimePoint& when, std::uint64_t& seq) const {
-    if (!pending_) return false;
-    when = time_;
-    seq = seq_;
-    return true;
-  }
-
-  Failure fire(const Simulation& sim, DirectHost& host) {
-    pending_ = false;
+  Failure fire(Simulation& sim) {
     const Failure failure{sim.now(), severity_.sample(rng_)};
-    draw_next(sim, host);
+    draw_next(sim);
     return failure;
   }
 
  private:
-  void draw_next(const Simulation& sim, DirectHost& host) {
+  void draw_next(Simulation& sim) {
     const Duration gap = dist_.draw(rng_, rate_);
-    if (!gap.is_finite()) return;  // zero rate: no failures ever
-    time_ = sim.now() + gap;
-    seq_ = host.next_seq++;
-    pending_ = true;
+    if (!gap.is_finite()) {  // zero rate: no failures ever
+      sim.clear_horizon();
+      return;
+    }
+    sim.set_horizon(sim.now() + gap);
   }
 
   Rate rate_;
   const SeverityModel& severity_;
   const FailureDistribution& dist_;
   Pcg32 rng_;
-  bool pending_{false};
-  TimePoint time_{};
-  std::uint64_t seq_{0};
 };
 
 /// Failures replayed from a trace. TraceFailureProcess::start() schedules
-/// every replayed failure up front in trace order, consuming insertion
-/// seqs 0..n-1 before the runtime's timeout/phase events; past-time
-/// failures are skipped and consume none.
+/// every replayed failure up front in trace order, ahead of the runtime's
+/// events; past-time failures are skipped. One seq stands for the whole
+/// trace: its failures precede every later insertion and fire among
+/// themselves in trace order.
 class ReplayedFailures {
  public:
   explicit ReplayedFailures(const FailureTrace& trace) : failures_{trace.failures()} {}
 
-  void arm(const Simulation& sim, DirectHost& host) {
+  void arm(Simulation& sim) {
     while (next_ < failures_.size() && failures_[next_].time < sim.now()) ++next_;
-    skipped_ = next_;
-    if (skipped_ > 0) {
-      XRES_LOG_WARN("trace replay skipped " + std::to_string(skipped_) +
+    if (next_ > 0) {
+      XRES_LOG_WARN("trace replay skipped " + std::to_string(next_) +
                     " failures that predate the current simulation time");
     }
-    host.next_seq = failures_.size() - skipped_;
+    if (next_ < failures_.size()) sim.set_horizon(failures_[next_].time);
   }
 
-  bool peek(TimePoint& when, std::uint64_t& seq) const {
-    if (next_ >= failures_.size()) return false;
-    when = failures_[next_].time;
-    seq = next_ - skipped_;
-    return true;
+  Failure fire(Simulation& sim) {
+    const Failure failure = failures_[next_++];
+    if (next_ < failures_.size()) {
+      sim.move_horizon(failures_[next_].time);
+    } else {
+      sim.clear_horizon();
+    }
+    return failure;
   }
-
-  Failure fire(const Simulation&, DirectHost&) { return failures_[next_++]; }
 
  private:
   const std::vector<Failure>& failures_;
   std::size_t next_{0};
-  std::size_t skipped_{0};
 };
 
-/// The two slots that can interrupt a run of phase completions.
-enum class Interrupt { kNone, kFailure, kTimeout };
-
-/// The virtual pop + dispatch loop. Mirrors Simulation::run: watchdog poll
-/// every 4096 events *before* the pop, clock advanced to the popped event's
-/// time, loop exit on request_stop or a drained "queue".
-template <typename Failures>
-void run_direct_loop(Simulation& sim, ResilientAppRuntime& runtime, DirectHost& host,
-                     Failures& failures) {
-  std::uint64_t executed = 0;
-  while (!sim.stop_requested()) {
-    // Merge the failure and timeout slots into the earliest "interrupt".
-    // Neither changes while phase events dispatch (the failure slot is only
-    // re-armed by fire(); the timeout is cancelled only on paths that also
-    // request_stop), so the steady-state work/checkpoint alternation below
-    // re-checks just one (time, seq) bound per event.
-    Interrupt interrupt = Interrupt::kNone;
-    // +inf sentinel: phase events (always finite) sort before an absent
-    // interrupt without a separate emptiness test in the drain condition.
-    TimePoint int_time = TimePoint::origin() + Duration::infinity();
-    std::uint64_t int_seq = 0;
-    TimePoint fail_time{};
-    std::uint64_t fail_seq = 0;
-    if (failures.peek(fail_time, fail_seq)) {
-      interrupt = Interrupt::kFailure;
-      int_time = fail_time;
-      int_seq = fail_seq;
-    }
-    if (host.timeout_pending &&
-        (interrupt == Interrupt::kNone || host.timeout_time < int_time ||
-         (host.timeout_time == int_time && host.timeout_seq < int_seq))) {
-      interrupt = Interrupt::kTimeout;
-      int_time = host.timeout_time;
-      int_seq = host.timeout_seq;
-    }
-
-    while (host.phase_pending &&
-           (host.phase_time < int_time ||
-            (host.phase_time == int_time && host.phase_seq < int_seq))) {
-      if ((executed & 0xFFFU) == 0) {
-        sim.count_watchdog_poll();
-        deadline_poll();
-      }
-      sim.advance_direct(host.phase_time);
-      host.phase_pending = false;
-      runtime.dispatch_phase();
-      ++executed;
-      if (sim.stop_requested()) return;
-    }
-
-    if (interrupt == Interrupt::kNone) break;
-    if ((executed & 0xFFFU) == 0) {
-      sim.count_watchdog_poll();
-      deadline_poll();
-    }
-    sim.advance_direct(int_time);
-    if (interrupt == Interrupt::kFailure) {
-      runtime.on_failure(failures.fire(sim, host));
-    } else {
-      host.timeout_pending = false;
-      runtime.dispatch_timeout();
-    }
-    ++executed;
-  }
-}
-
-/// Run one trial of a feasible plan against \p failures.
+/// Run one trial of a feasible plan against \p failures. The runtime
+/// dispatches its own events inline up to the horizon, the next failure;
+/// the driver fires that failure and hands control back. Nothing is ever
+/// queued.
 template <typename Failures>
 ExecutionResult run_feasible_trial(const ExecutionPlan& plan, Failures failures,
                                    std::uint64_t seed, obs::TrialObs* obs) {
   Simulation sim;
   ExecutionResult final_result;
   bool finished = false;
-  DirectHost host;
 
   ResilientAppRuntime runtime{
       sim, plan, derive_seed(seed, kRuntimeSeedTag), [&](const ExecutionResult& r) {
@@ -244,11 +170,15 @@ ExecutionResult run_feasible_trial(const ExecutionPlan& plan, Failures failures,
         sim.request_stop();
       }};
   runtime.set_observer(obs);
-  runtime.attach_direct_host(&host);
 
-  failures.arm(sim, host);
+  failures.arm(sim);
   runtime.start();
-  run_direct_loop(sim, runtime, host, failures);
+  for (;;) {
+    runtime.run_inline();
+    if (sim.stop_requested() || !sim.has_horizon()) break;
+    sim.advance(sim.horizon_time());
+    runtime.on_failure(failures.fire(sim));
+  }
 
   XRES_CHECK(finished, "trial ended without a completion callback");
   obs::perf_add_batched_trials(1);

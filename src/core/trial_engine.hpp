@@ -6,16 +6,16 @@
 ///
 /// One driver runs every work kind; only its failure source differs
 /// (drawn from the plan's failure distribution, or replayed from a
-/// trace). The driver owns the trial's three pending events (next
-/// failure, phase completion, wall-time cap) as plain slots, merges them
-/// in (time, insertion-seq) order with one virtual insertion counter
-/// (runtime/app_runtime.hpp `DirectHost`), and dispatches them without an
-/// event queue. That is the order a Simulation queue gives the same trial
-/// built from AppFailureProcess or TraceFailureProcess and a queued
-/// runtime, so every observable (results, metrics including `sim_events`,
-/// traces, RNG draw order, watchdog-poll timing) matches it byte for
-/// byte. tests/surrogate_diff_test.cpp builds that queued trial as its
-/// reference and fails on any drift.
+/// trace). The next failure is the Simulation's horizon; the runtime holds
+/// its phase completion and wall-time cap in its own slots and dispatches
+/// them inline up to that horizon (sim/simulation.hpp), every event under
+/// an insertion seq from the Simulation's one counter. Nothing enters the
+/// event queue. The order is the one a Simulation queue gives the same
+/// trial built from AppFailureProcess or TraceFailureProcess, so every
+/// observable (results, metrics including `sim_events`, traces, RNG draw
+/// order, watchdog-poll timing) matches it byte for byte.
+/// tests/surrogate_diff_test.cpp builds that queued trial as its reference
+/// and fails on any drift.
 
 #include <cstdint>
 #include <vector>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "failure/process.hpp"
@@ -23,7 +22,9 @@ namespace xres {
 
 namespace {
 
-OwnerId owner_of(JobId id) { return OwnerId{static_cast<std::uint64_t>(id)}; }
+/// Per-job engine state is keyed by the job's position in the pattern, and
+/// so is the machine allocation owner.
+OwnerId owner_of(std::size_t job) { return OwnerId{job}; }
 
 class WorkloadEngine final : public SchedulerContext {
  public:
@@ -34,7 +35,10 @@ class WorkloadEngine final : public SchedulerContext {
         scheduler_{make_scheduler(config.scheduler)},
         sched_rng_{derive_seed(config.seed, 0x7363686564ULL)},
         jobs_{pattern.jobs},
-        platform_model_{make_platform_model(config.machine)} {
+        plans_(jobs_.size()),
+        deadline_events_(jobs_.size()),
+        platform_model_{make_platform_model(config.machine)},
+        runtimes_(jobs_.size()) {
     config_.resilience.validate();
     if (config_.policy.mode == TechniquePolicy::Mode::kSelection) {
       selector_.emplace(config_.machine, config_.resilience);
@@ -57,8 +61,8 @@ class WorkloadEngine final : public SchedulerContext {
   }
 
   WorkloadRunResult run() {
-    for (const Job& job : jobs_) {
-      sim_.schedule_at(job.arrival, [this, id = job.id] { on_arrival(id); });
+    for (std::size_t j = 0; j < jobs_.size(); ++j) {
+      sim_.schedule_at(jobs_[j].arrival, [this, j] { on_arrival(j); });
     }
     if (failures_.has_value()) failures_->start();
     sim_.run();
@@ -118,11 +122,17 @@ class WorkloadEngine final : public SchedulerContext {
     // Never start a job at or past its deadline: the concurrently firing
     // deadline event is about to drop it from the queue.
     if (job.deadline <= sim_.now()) return false;
-    ExecutionPlan plan = plan_for(job.spec);
-    if (!plan.feasible) return false;
-    const OwnerId owner = owner_of(job.id);
-    auto range = machine_.allocate(plan.physical_nodes, owner);
+    const std::size_t j = index_of(job);
+    // Planned once per run, at the first attempt: schedulers retry waiting
+    // jobs at every mapping event, and the plan depends only on the job.
+    std::unique_ptr<ExecutionPlan>& memo = plans_[j];
+    if (memo == nullptr) memo = std::make_unique<ExecutionPlan>(plan_for(job.spec));
+    if (!memo->feasible) return false;
+    auto range = machine_.allocate(memo->physical_nodes, owner_of(j));
     if (!range.has_value()) return false;
+    // The job starts and is never attempted again: its runtime takes the plan.
+    ExecutionPlan plan = std::move(*memo);
+    memo.reset();
     on_utilization_changed();
     if (config_.record_occupancy) occupancy_.record_start(job.id, *range, sim_.now());
 
@@ -143,34 +153,43 @@ class WorkloadEngine final : public SchedulerContext {
         }
       }
     }
-    auto runtime = std::make_unique<ResilientAppRuntime>(
+    // The runtime stays allocated until engine teardown: it may be on the
+    // call stack when it finishes.
+    runtimes_[j] = std::make_unique<ResilientAppRuntime>(
         sim_, std::move(plan),
         derive_seed(config_.seed, static_cast<std::uint64_t>(job.id), 0x61707021ULL),
-        [this, id = job.id](const ExecutionResult& r) { on_runtime_finished(id, r); });
-    if (pfs_device_.has_value()) runtime->set_pfs_device(&*pfs_device_);
-    runtime->set_observer(config_.obs);
-    ResilientAppRuntime* raw = runtime.get();
-    running_.emplace(job.id, std::move(runtime));
-    remove_unmapped(job.id);
-    raw->start();
+        [this, j](const ExecutionResult& r) { on_runtime_finished(j, r); });
+    ResilientAppRuntime& runtime = *runtimes_[j];
+    if (pfs_device_.has_value()) runtime.set_pfs_device(&*pfs_device_);
+    runtime.set_observer(config_.obs);
+    remove_unmapped(j);
+    runtime.start();
     return true;
   }
 
   void drop(const Job& job) override {
     // Slack scheduler: deadline-infeasible, removed without executing.
-    remove_unmapped(job.id);
-    cancel_deadline(job.id);
+    const std::size_t j = index_of(job);
+    remove_unmapped(j);
+    cancel_deadline(j);
     ++dropped_;
     ++dropped_before_start_;
     note_departure();
   }
 
  private:
-  const Job& job_of(JobId id) const {
-    for (const Job& job : jobs_) {
-      if (job.id == id) return job;
-    }
-    XRES_CHECK(false, "unknown job id");
+  /// Position of \p job in jobs_: schedulers hand back the pointers
+  /// run_mapping gave them.
+  std::size_t index_of(const Job& job) const {
+    XRES_CHECK(&job >= jobs_.data() && &job < jobs_.data() + jobs_.size(),
+               "job is not one of this run's");
+    return static_cast<std::size_t>(&job - jobs_.data());
+  }
+
+  /// The job's runtime while it runs, else null.
+  ResilientAppRuntime* running(std::size_t j) const {
+    ResilientAppRuntime* runtime = runtimes_[j].get();
+    return runtime != nullptr && !runtime->finished() ? runtime : nullptr;
   }
 
   ExecutionPlan plan_for(const AppSpec& spec) {
@@ -185,26 +204,24 @@ class WorkloadEngine final : public SchedulerContext {
     XRES_CHECK(false, "unhandled technique policy");
   }
 
-  void on_arrival(JobId id) {
-    unmapped_.push_back(id);
-    const Job& job = job_of(id);
-    deadline_events_[id] = sim_.schedule_at(job.deadline, [this, id] { on_deadline(id); });
+  void on_arrival(std::size_t j) {
+    unmapped_.push_back(j);
+    deadline_events_[j] = sim_.schedule_at(jobs_[j].deadline, [this, j] { on_deadline(j); });
     run_mapping();
   }
 
-  void on_deadline(JobId id) {
-    deadline_events_.erase(id);
-    auto it = running_.find(id);
-    if (it != running_.end()) {
-      it->second->abort();
-      retire_running(it);
+  void on_deadline(std::size_t j) {
+    deadline_events_[j] = EventId{};
+    if (ResilientAppRuntime* runtime = running(j)) {
+      runtime->abort();
+      retire(j);
       ++dropped_;
       ++dropped_while_running_;
       note_departure();
       run_mapping();
       return;
     }
-    if (remove_unmapped(id)) {
+    if (remove_unmapped(j)) {
       ++dropped_;
       ++dropped_before_start_;
       note_departure();
@@ -213,12 +230,10 @@ class WorkloadEngine final : public SchedulerContext {
     // cancelled; a stale fire is impossible, but harmless if it were.
   }
 
-  void on_runtime_finished(JobId id, const ExecutionResult& result) {
+  void on_runtime_finished(std::size_t j, const ExecutionResult& result) {
     // Natural completion, or the wall-time-cap abort inside the runtime.
-    auto it = running_.find(id);
-    XRES_CHECK(it != running_.end(), "completion for a job that is not running");
-    retire_running(it);
-    cancel_deadline(id);
+    retire(j);
+    cancel_deadline(j);
     if (result.completed) {
       ++completed_;
       if (result.baseline > Duration::zero()) {
@@ -233,45 +248,43 @@ class WorkloadEngine final : public SchedulerContext {
   }
 
   void deliver_failure(const Failure& failure, const Machine::Victim& victim) {
-    const auto id = JobId{static_cast<std::uint64_t>(victim.owner)};
-    auto it = running_.find(id);
-    if (it == running_.end()) return;  // victim already left the machine
-    it->second->on_failure(failure);
+    // Allocation owners are job positions (owner_of).
+    if (ResilientAppRuntime* runtime = running(static_cast<std::size_t>(victim.owner))) {
+      runtime->on_failure(failure);
+    }
   }
 
-  /// Release nodes and move the runtime to the retired list (it may be on
-  /// the call stack; destruction is deferred to engine teardown).
-  void retire_running(std::unordered_map<JobId, std::unique_ptr<ResilientAppRuntime>>::iterator it) {
-    record_result_metrics(config_.obs, it->second->result());
+  /// Book a finished job's result and release its nodes.
+  void retire(std::size_t j) {
+    const ExecutionResult& result = runtimes_[j]->result();
+    record_result_metrics(config_.obs, result);
     if (config_.record_occupancy) {
-      occupancy_.record_end(it->first, sim_.now(),
-                            it->second->result().completed);
+      occupancy_.record_end(jobs_[j].id, sim_.now(), result.completed);
     }
-    machine_.release(owner_of(it->first));
+    machine_.release(owner_of(j));
     on_utilization_changed();
-    retired_.push_back(std::move(it->second));
-    running_.erase(it);
   }
 
   void run_mapping() {
     std::vector<const Job*> pending;
     pending.reserve(unmapped_.size());
-    for (JobId id : unmapped_) pending.push_back(&job_of(id));
+    for (const std::size_t j : unmapped_) pending.push_back(&jobs_[j]);
     scheduler_->map(pending, *this, sched_rng_);
   }
 
-  bool remove_unmapped(JobId id) {
-    auto it = std::find(unmapped_.begin(), unmapped_.end(), id);
+  /// Take a waiting job out of the unmapped set, with its plan (it will
+  /// not be attempted again); false when it was not waiting.
+  bool remove_unmapped(std::size_t j) {
+    auto it = std::find(unmapped_.begin(), unmapped_.end(), j);
     if (it == unmapped_.end()) return false;
     unmapped_.erase(it);
+    plans_[j].reset();
     return true;
   }
 
-  void cancel_deadline(JobId id) {
-    auto it = deadline_events_.find(id);
-    if (it == deadline_events_.end()) return;
-    sim_.cancel(it->second);
-    deadline_events_.erase(it);
+  void cancel_deadline(std::size_t j) {
+    sim_.cancel(deadline_events_[j]);
+    deadline_events_[j] = EventId{};
   }
 
   void on_utilization_changed() {
@@ -291,17 +304,20 @@ class WorkloadEngine final : public SchedulerContext {
   std::unique_ptr<Scheduler> scheduler_;
   Pcg32 sched_rng_;
   std::vector<Job> jobs_;
+  // Per-job state, parallel to jobs_.
+  std::vector<std::unique_ptr<ExecutionPlan>> plans_;  ///< planned, not yet started
+  std::vector<EventId> deadline_events_;
 
   std::optional<ResilienceSelector> selector_;
   std::optional<SystemFailureProcess> failures_;
   std::unique_ptr<PlatformModel> platform_model_;
   /// The machine-wide PFS device, when the platform model has one.
   std::optional<PfsDevice> pfs_device_;
+  /// Per-job runtimes, parallel to jobs_; declared after the device they
+  /// may hold a transfer on, so they are destroyed first.
+  std::vector<std::unique_ptr<ResilientAppRuntime>> runtimes_;
 
-  std::vector<JobId> unmapped_;  // arrival order
-  std::unordered_map<JobId, std::unique_ptr<ResilientAppRuntime>> running_;
-  std::unordered_map<JobId, EventId> deadline_events_;
-  std::vector<std::unique_ptr<ResilientAppRuntime>> retired_;
+  std::vector<std::size_t> unmapped_;  // arrival order
 
   std::uint32_t completed_{0};
   std::uint32_t dropped_{0};

@@ -1,6 +1,7 @@
 #include "runtime/app_runtime.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -25,7 +26,11 @@ ResilientAppRuntime::ResilientAppRuntime(Simulation& sim, ExecutionPlan plan,
                                     static_cast<double>(plan_.app.nodes));
 }
 
-ResilientAppRuntime::~ResilientAppRuntime() { cancel_pending(); }
+ResilientAppRuntime::~ResilientAppRuntime() {
+  cancel(phase_slot_);
+  cancel(timeout_slot_);
+  sim_.release(*this);
+}
 
 const char* ResilientAppRuntime::phase_name() const {
   switch (phase_) {
@@ -91,17 +96,7 @@ void ResilientAppRuntime::start() {
   }
 
   if (plan_.max_wall_time.is_finite()) {
-    if (direct_ != nullptr) {
-      direct_->timeout_time = sim_.now() + plan_.max_wall_time;
-      direct_->timeout_seq = direct_->next_seq++;
-      direct_->timeout_pending = true;
-    } else {
-      timeout_event_ = sim_.schedule_after(plan_.max_wall_time, [this] {
-        has_timeout_ = false;
-        dispatch_timeout();
-      });
-      has_timeout_ = true;
-    }
+    hold(timeout_slot_, sim_.now() + plan_.max_wall_time);
   }
   enter_working();
 }
@@ -116,49 +111,92 @@ void ResilientAppRuntime::set_observer(obs::TrialObs* obs) {
   obs_ = obs;
 }
 
-void ResilientAppRuntime::attach_direct_host(DirectHost* host) {
-  XRES_CHECK(phase_ == Phase::kIdle, "direct host must be attached before start");
-  XRES_CHECK(pfs_device_ == nullptr,
-             "direct execution does not support a shared PFS device");
-  XRES_CHECK(host != nullptr, "direct host must be non-null");
-  direct_ = host;
+void ResilientAppRuntime::run_inline() {
+  for (;;) {
+    // The common case first: consecutive phase completions strictly before
+    // both the held wall-time cap and the Simulation's bound. Comparing
+    // times alone is exact whatever the seqs, and neither limit moves while
+    // the phase stays held: the cap is cancelled or parked only together
+    // with the phase, and the one callback a completion runs, on_complete_,
+    // runs after complete() cancelled it. The queue head can move (a
+    // completion may schedule), so it is checked per phase; a phase it
+    // precedes ends the run, as nothing later of ours comes first either.
+    TimePoint limit = sim_.bound_time();
+    if (timeout_slot_.state == Pending::kHeld && timeout_slot_.time < limit) {
+      limit = timeout_slot_.time;
+    }
+    while (phase_slot_.state == Pending::kHeld && phase_slot_.time < limit) {
+      if (!sim_.precedes_queue(phase_slot_.time, phase_slot_.seq)) return;
+      sim_.advance(phase_slot_.time);
+      phase_slot_.state = Pending::kNone;
+      dispatch_phase();
+    }
+    // Otherwise the earlier of the held phase and cap by (time, seq).
+    Slot* next = phase_slot_.state == Pending::kHeld ? &phase_slot_ : nullptr;
+    if (timeout_slot_.state == Pending::kHeld &&
+        (next == nullptr || timeout_slot_.time < next->time ||
+         (timeout_slot_.time == next->time && timeout_slot_.seq < next->seq))) {
+      next = &timeout_slot_;
+    }
+    if (next == nullptr || !sim_.comes_first(next->time, next->seq)) return;
+    sim_.advance(next->time);
+    next->state = Pending::kNone;
+    if (next == &phase_slot_) {
+      dispatch_phase();
+    } else {
+      dispatch_timeout();
+    }
+  }
 }
 
-void ResilientAppRuntime::cancel_pending() {
-  if (direct_ != nullptr) {
-    direct_->phase_pending = false;
-    return;
+void ResilientAppRuntime::park() {
+  if (phase_slot_.state == Pending::kHeld) {
+    phase_slot_.event =
+        sim_.schedule_reserved(phase_slot_.time, phase_slot_.seq, [this] {
+          phase_slot_.state = Pending::kNone;
+          dispatch_phase();
+        });
+    phase_slot_.state = Pending::kQueued;
   }
-  if (!has_pending_) return;
-  if (pending_is_transfer_) {
+  if (timeout_slot_.state == Pending::kHeld) {
+    timeout_slot_.event =
+        sim_.schedule_reserved(timeout_slot_.time, timeout_slot_.seq, [this] {
+          timeout_slot_.state = Pending::kNone;
+          dispatch_timeout();
+        });
+    timeout_slot_.state = Pending::kQueued;
+  }
+}
+
+void ResilientAppRuntime::held_seqs(std::vector<std::uint64_t*>& out) {
+  if (phase_slot_.state == Pending::kHeld) out.push_back(&phase_slot_.seq);
+  if (timeout_slot_.state == Pending::kHeld) out.push_back(&timeout_slot_.seq);
+}
+
+void ResilientAppRuntime::cancel(Slot& slot) {
+  // A held event just forgets its reserved seq, as a cancelled queued
+  // event would never have popped.
+  if (slot.state == Pending::kQueued) {
+    sim_.cancel(slot.event);
+  } else if (slot.state == Pending::kTransfer) {
     pfs_device_->cancel(pending_transfer_);
-  } else {
-    sim_.cancel(pending_);
   }
-  has_pending_ = false;
+  slot.state = Pending::kNone;
 }
 
-void ResilientAppRuntime::queue_phase(Duration nominal, bool shared_pfs) {
-  XRES_CHECK(!has_pending_, "phase scheduled while another is pending");
-  auto done = [this] {
-    has_pending_ = false;
+void ResilientAppRuntime::begin_pfs_phase(Duration nominal) {
+  if (obs_ != nullptr) obs_->count(obs::builtin_metrics().pfs_phases);
+  // phase_level_ is always current here: shared_pfs phases are entered
+  // only from enter_checkpointing / enter_restarting, which set it.
+  TransferRequest request;
+  request.nominal = nominal;
+  request.bytes = plan_.levels[phase_level_].pfs_bytes;
+  request.rate_cap = plan_.levels[phase_level_].pfs_rate_cap;
+  pending_transfer_ = pfs_device_->begin_transfer(request, [this] {
+    phase_slot_.state = Pending::kNone;
     dispatch_phase();
-  };
-  if (shared_pfs && pfs_device_ != nullptr) {
-    if (obs_ != nullptr) obs_->count(obs::builtin_metrics().pfs_phases);
-    // phase_level_ is always current here: shared_pfs phases are entered
-    // only from enter_checkpointing / enter_restarting, which set it.
-    TransferRequest request;
-    request.nominal = nominal;
-    request.bytes = plan_.levels[phase_level_].pfs_bytes;
-    request.rate_cap = plan_.levels[phase_level_].pfs_rate_cap;
-    pending_transfer_ = pfs_device_->begin_transfer(request, done);
-    pending_is_transfer_ = true;
-  } else {
-    pending_ = sim_.schedule_after(nominal, done);
-    pending_is_transfer_ = false;
-  }
-  has_pending_ = true;
+  });
+  phase_slot_.state = Pending::kTransfer;
 }
 
 double ResilientAppRuntime::active_nodes() const {
@@ -373,22 +411,22 @@ void ResilientAppRuntime::on_recovery_done() {
   }
 }
 
-void ResilientAppRuntime::cancel_timeout() {
-  if (direct_ != nullptr) {
-    direct_->timeout_pending = false;
-    return;
-  }
-  if (!has_timeout_) return;
-  sim_.cancel(timeout_event_);
-  has_timeout_ = false;
+void ResilientAppRuntime::check_time_closure() const {
+  const double buckets = (result_.time_working + result_.time_checkpointing +
+                          result_.time_restarting + result_.time_recovering)
+                             .to_seconds();
+  const double wall = result_.wall_time.to_seconds();
+  XRES_CHECK(std::abs(buckets - wall) <= 1e-9 * std::max(wall, 1.0),
+             "phase time buckets do not sum to the wall time");
 }
 
 void ResilientAppRuntime::complete() {
-  cancel_pending();
-  cancel_timeout();
+  cancel(phase_slot_);
+  cancel(timeout_slot_);
   phase_ = Phase::kDone;
   result_.completed = true;
   result_.wall_time = sim_.now() - start_time_;
+  check_time_closure();
   result_.efficiency =
       result_.wall_time > Duration::zero() ? plan_.baseline / result_.wall_time : 1.0;
   result_.efficiency = std::min(result_.efficiency, 1.0);
@@ -402,10 +440,11 @@ void ResilientAppRuntime::complete() {
 void ResilientAppRuntime::dispatch_timeout() {
   if (finished()) return;
   accrue(sim_.now() - phase_start_);
-  cancel_pending();
+  cancel(phase_slot_);
   phase_ = Phase::kAborted;
   result_.completed = false;
   result_.wall_time = sim_.now() - start_time_;
+  check_time_closure();
   result_.efficiency = 0.0;
   if (obs_ != nullptr && obs_->trace() != nullptr) {
     obs_->trace()->instant("abort", "run", sim_.now(),
@@ -419,11 +458,12 @@ void ResilientAppRuntime::dispatch_timeout() {
 void ResilientAppRuntime::abort() {
   if (finished() || phase_ == Phase::kIdle) return;
   accrue(sim_.now() - phase_start_);
-  cancel_pending();
-  cancel_timeout();
+  cancel(phase_slot_);
+  cancel(timeout_slot_);
   phase_ = Phase::kAborted;
   result_.completed = false;
   result_.wall_time = sim_.now() - start_time_;
+  check_time_closure();
   result_.efficiency = 0.0;
   if (obs_ != nullptr && obs_->trace() != nullptr) {
     obs_->trace()->instant("abort", "run", sim_.now(),
@@ -552,7 +592,7 @@ void ResilientAppRuntime::on_failure(const Failure& failure) {
                          plan_.work_target);
   }
   accrue(elapsed);
-  cancel_pending();
+  cancel(phase_slot_);
 
   if (plan_.rollback_on_failure) {
     handle_rollback_failure(failure.severity);

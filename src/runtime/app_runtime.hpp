@@ -14,9 +14,17 @@
 ///              ├─ rollback techniques → Restarting → Working (recompute)
 ///              └─ parallel recovery → Recovering → resume (no rollback)
 ///
-/// The runtime is driven entirely by its owning Simulation: it schedules
-/// one pending phase-completion event at a time; `on_failure` cancels it
-/// and transitions. Progress is measured in stretched-work seconds against
+/// The runtime is driven entirely by its owning Simulation. It has at most
+/// one pending phase completion and one wall-time cap; `on_failure`
+/// cancels the phase and transitions. Both live in slots of the runtime's
+/// own, each a (time, seq) under a seq reserved from the Simulation, and
+/// run_inline() dispatches them while they come before the horizon: the
+/// queue head, run_until's bound, and in a single-app trial the driver's
+/// next failure (sim/simulation.hpp). Whatever does not come first is
+/// parked in the queue under its reserved seq, so the executed order is
+/// exactly the fully queued one. A phase that moves data through the
+/// shared PFS with a device attached is a device transfer instead.
+/// Progress is measured in stretched-work seconds against
 /// plan.work_target; a per-level ledger records the progress captured by
 /// the last completed checkpoint of each level.
 
@@ -41,27 +49,7 @@ namespace obs {
 class TrialObs;
 }
 
-/// Direct-execution hand-off between a ResilientAppRuntime and the
-/// single-app trial driver (core/trial_engine.cpp). Instead of scheduling
-/// its phase and timeout events into the Simulation's queue, a
-/// direct-attached runtime publishes them into these slots; the driver
-/// merges them with its own failure stream by (time, seq) — the exact total
-/// order the event queue would have produced — clears a slot, and calls
-/// dispatch_phase() / dispatch_timeout(). `next_seq` is the shared virtual
-/// insertion counter: every schedule action (failure gap, timeout, phase)
-/// consumes one in the same call order as the queued path, so ties in time
-/// break identically.
-struct DirectHost {
-  TimePoint phase_time{};
-  std::uint64_t phase_seq{0};
-  bool phase_pending{false};
-  TimePoint timeout_time{};
-  std::uint64_t timeout_seq{0};
-  bool timeout_pending{false};
-  std::uint64_t next_seq{0};
-};
-
-class ResilientAppRuntime {
+class ResilientAppRuntime final : public Simulation::SlotHolder {
  public:
   enum class Phase { kIdle, kWorking, kCheckpointing, kRestarting, kRecovering, kDone, kAborted };
 
@@ -132,54 +120,73 @@ class ResilientAppRuntime {
   /// instrumentation site reduces to a pointer test.
   void set_observer(obs::TrialObs* obs);
 
-  /// Direct execution: publish phase/timeout events into \p host instead of
-  /// the Simulation queue (see DirectHost). Must be called before start();
-  /// incompatible with a PFS device. \p host must outlive the runtime.
-  void attach_direct_host(DirectHost* host);
+  /// The one runtime loop (Simulation::SlotHolder): dispatch the held
+  /// phase completion and wall-time cap in (time, seq) order while each
+  /// comes first.
+  void run_inline() override;
 
-  /// Finish the pending phase: the one completion handler, a switch on the
-  /// current phase. The queued event (or PFS transfer) calls it after
-  /// clearing its pending flag; a direct host clears its phase slot, sets
-  /// the clock to the slot's time, then calls it. Inline (defined below the
-  /// class): a direct trial runs it once per simulated event.
-  void dispatch_phase();
+  /// Park the held events in the Simulation queue under their seqs.
+  void park() override;
 
-  /// Fire the wall-time cap, after the caller cleared its pending timeout
-  /// (queued event or direct slot).
-  void dispatch_timeout();
+  void held_seqs(std::vector<std::uint64_t*>& out) override;
 
  private:
+  /// Where a pending event lives: held in the runtime's slot, parked in the
+  /// queue, or (a phase only) a PFS device transfer.
+  enum class Pending : std::uint8_t { kNone, kHeld, kQueued, kTransfer };
+
+  struct Slot {
+    TimePoint time{};
+    std::uint64_t seq{0};
+    Pending state{Pending::kNone};
+    EventId event{};  ///< while kQueued
+  };
+
+  /// Finish the pending phase: the one completion handler, a switch on the
+  /// current phase. Reached from the inline loop, a parked event or a PFS
+  /// transfer, each after clearing the phase slot. Inline (defined below
+  /// the class): the inline loop runs it once per simulated phase.
+  void dispatch_phase();
+
+  /// Fire the wall-time cap, after the caller cleared its slot.
+  void dispatch_timeout();
+
+  /// Hold an event at \p when in \p slot under a freshly reserved seq.
+  void hold(Slot& slot, TimePoint when) {
+    slot.seq = sim_.reserve_seq(*this);
+    slot.time = when;
+    slot.state = Pending::kHeld;
+  }
+
+  /// Cancel \p slot's event wherever it lives.
+  void cancel(Slot& slot);
+
   void enter_working();
   void enter_checkpointing();
   void enter_restarting(std::size_t level_index, Duration restore_cost, bool shared_pfs);
   void enter_recovering(Duration lost_work);
 
-  /// Schedule the current phase's completion \p nominal from now: the
-  /// direct host's phase slot, or else queue_phase(). Every path ends in
-  /// dispatch_phase(). The slot write stays inline in the phase-entry
-  /// functions; the queued half is out of line.
+  /// Schedule the current phase's completion \p nominal from now: a PFS
+  /// device transfer when the phase moves data through the file system and
+  /// a device is attached, or else the held phase slot. No pending-phase
+  /// check: every call is reached from a dispatch (or start) that just
+  /// cleared the slot. Same arithmetic as schedule_after: the completion
+  /// time is bit-identical to what the event queue would store and pop.
   void schedule_phase(Duration nominal, bool shared_pfs) {
-    if (direct_ != nullptr) {
-      // No pending-phase check: every call is reached from a dispatch (or
-      // start) that just cleared the slot. Same arithmetic as
-      // schedule_after: the completion time is bit-identical to what the
-      // event queue would have stored and popped.
-      direct_->phase_time = sim_.now() + nominal;
-      direct_->phase_seq = direct_->next_seq++;
-      direct_->phase_pending = true;
+    if (shared_pfs && pfs_device_ != nullptr) {
+      begin_pfs_phase(nominal);
       return;
     }
-    queue_phase(nominal, shared_pfs);
+    hold(phase_slot_, sim_.now() + nominal);
   }
 
-  /// schedule_phase without a direct host: a PFS device transfer when the
-  /// phase moves data through the file system and a device is attached, or
-  /// else a plain timer in the Simulation queue.
-  void queue_phase(Duration nominal, bool shared_pfs);
+  void begin_pfs_phase(Duration nominal);
 
-  /// Cancel the pending timeout if any (queue or direct).
-  void cancel_timeout();
   void complete();
+
+  /// The always-on phase-time closure check at every end of a run: the
+  /// time buckets sum to the wall time.
+  void check_time_closure() const;
 
   void on_segment_done(Duration target);
   void on_checkpoint_done(std::size_t level_index);
@@ -218,8 +225,6 @@ class ResilientAppRuntime {
   /// observed failure count (Gamma-prior estimate anchored on the planned
   /// rate). Called after each completed checkpoint.
   void retune_quantum();
-
-  void cancel_pending();
 
   Simulation& sim_;
   ExecutionPlan plan_;
@@ -267,7 +272,6 @@ class ResilientAppRuntime {
   std::optional<Timeline> timeline_;
   PfsDevice* pfs_device_{nullptr};
   obs::TrialObs* obs_{nullptr};
-  DirectHost* direct_{nullptr};
 
   /// kWorking's on_segment_done target (the only handler argument
   /// dispatch_phase cannot re-derive from other state).
@@ -278,12 +282,9 @@ class ResilientAppRuntime {
   std::size_t phase_level_{0};
   bool phase_pfs_{false};
 
-  EventId pending_{};
-  PfsDevice::TransferId pending_transfer_{};
-  bool pending_is_transfer_{false};
-  bool has_pending_{false};
-  EventId timeout_event_{};
-  bool has_timeout_{false};
+  Slot phase_slot_;
+  Slot timeout_slot_;
+  PfsDevice::TransferId pending_transfer_{};  ///< while phase_slot_ is kTransfer
 
   ExecutionResult result_{};
 };

@@ -43,13 +43,6 @@ bool EventQueue::decode(EventId id, std::uint32_t& slot,
   return true;
 }
 
-std::uint64_t EventQueue::time_to_bits(double t) noexcept {
-  t += 0.0;  // -0.0 + 0.0 == +0.0: keep the two zeros tied
-  std::uint64_t bits;
-  std::memcpy(&bits, &t, sizeof bits);
-  return (bits & (1ULL << 63)) != 0 ? ~bits : bits | (1ULL << 63);
-}
-
 double EventQueue::bits_to_time(std::uint64_t bits) noexcept {
   bits = (bits & (1ULL << 63)) != 0 ? bits & ~(1ULL << 63) : ~bits;
   double t;
@@ -174,25 +167,45 @@ void EventQueue::sift_down(std::size_t logical) const {
   at(logical) = entry;
 }
 
-void EventQueue::renumber_seqs() {
-  // Order of the outstanding entries by their (not yet wrapped) 32-bit
-  // seqs; reassigning ranks in that order preserves every pairwise
-  // comparison, so the heap remains valid and replay is unaffected.
-  std::vector<std::uint32_t> order(heap_size_);
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::uint32_t a, std::uint32_t b) {
-    return at(a).seq() < at(b).seq();
-  });
+void EventQueue::renumber_seqs(std::span<std::uint64_t* const> reserved) {
+  // Order of the outstanding seqs (none has wrapped yet): heap entries are
+  // refs 0..heap_size_-1, reserved seqs the refs after them. Reassigning
+  // ranks in that order preserves every pairwise comparison, so the heap
+  // remains valid and replay is unaffected.
+  struct Key {
+    std::uint64_t seq;
+    std::size_t ref;
+  };
+  std::vector<Key> keys;
+  keys.reserve(heap_size_ + reserved.size());
+  for (std::size_t i = 0; i < heap_size_; ++i) keys.push_back({at(i).seq(), i});
+  for (std::size_t r = 0; r < reserved.size(); ++r) {
+    keys.push_back({*reserved[r], heap_size_ + r});
+  }
+  std::sort(keys.begin(), keys.end(),
+            [](const Key& a, const Key& b) { return a.seq < b.seq; });
   std::uint64_t rank = 0;
-  for (const std::uint32_t i : order) {
-    HeapEntry& e = at(i);
-    e.lo = (rank++ << 32) | (e.lo & 0xFFFFFFFFULL);
+  for (const Key& key : keys) {
+    if (key.ref < heap_size_) {
+      HeapEntry& e = at(key.ref);
+      e.lo = (rank << 32) | (e.lo & 0xFFFFFFFFULL);
+    } else {
+      *reserved[key.ref - heap_size_] = rank;
+    }
+    ++rank;
   }
   next_seq_ = rank;
 }
 
 EventId EventQueue::schedule(TimePoint when, EventCallback callback) {
+  if (seqs_exhausted()) renumber_seqs();
+  return schedule_reserved(when, reserve_seq(), std::move(callback));
+}
+
+EventId EventQueue::schedule_reserved(TimePoint when, std::uint64_t seq,
+                                      EventCallback callback) {
   XRES_CHECK(static_cast<bool>(callback), "event callback must be non-empty");
+  XRES_CHECK(seq < next_seq_, "event seq was never reserved");
   std::uint32_t idx;
   if (!free_slots_.empty()) {
     idx = free_slots_.back();
@@ -205,9 +218,7 @@ EventId EventQueue::schedule(TimePoint when, EventCallback callback) {
   }
   const std::uint32_t generation = ++tags_[idx];  // even (free) -> odd (pending)
   callbacks_[idx].callback = std::move(callback);
-  if (next_seq_ > 0xFFFFFFFFULL) renumber_seqs();
-  heap_push(HeapEntry{time_to_bits(when.to_seconds()),
-                      ((next_seq_++ & 0xFFFFFFFFULL) << 32) | idx});
+  heap_push(HeapEntry{time_to_bits(when.to_seconds()), (seq << 32) | idx});
   ++live_count_;
   ++stat_scheduled_;
   return encode(idx, generation);

@@ -34,8 +34,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -81,6 +83,35 @@ class EventQueue {
 
   /// Schedule \p callback at absolute time \p when.
   EventId schedule(TimePoint when, EventCallback callback);
+
+  /// Take the next insertion seq without scheduling anything. An event held
+  /// outside the queue (Simulation::SlotHolder) orders against queued
+  /// events by it and may be parked under it later (schedule_reserved).
+  /// The caller renumbers first when seqs_exhausted(), passing every seq it
+  /// still holds; schedule() renumbers on its own, knowing of none.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedule \p callback at \p when under \p seq, a seq from reserve_seq()
+  /// that nothing else was scheduled under.
+  EventId schedule_reserved(TimePoint when, std::uint64_t seq, EventCallback callback);
+
+  /// True when an event at (\p when, \p seq) would pop before every pending
+  /// event, or none is pending. Inline: the runtime's inline dispatch asks
+  /// it once per phase.
+  [[nodiscard]] bool precedes_head(TimePoint when, std::uint64_t seq) const {
+    if (heap_size_ != 0 && (tags_[at(0).slot()] & 1U) == 0) skip_dead();
+    return heap_size_ == 0 ||
+           earlier(HeapEntry{time_to_bits(when.to_seconds()), seq << 32}, at(0));
+  }
+
+  /// True when the next seq would not fit the heap's 32-bit seq field.
+  [[nodiscard]] bool seqs_exhausted() const { return next_seq_ > 0xFFFFFFFFULL; }
+
+  /// Reassign the outstanding seqs — every heap entry's plus the reserved
+  /// seqs \p reserved points at, rewritten in place — to 0..n-1 in their
+  /// current order and reset the counter. Runs once every 2^32 seqs, so
+  /// its O(n log n) cost amortizes to nothing.
+  void renumber_seqs(std::span<std::uint64_t* const> reserved = {});
 
   /// Cancel a pending event. Returns true if the event was still pending
   /// (false if it already fired, was already cancelled, or belongs to a
@@ -145,7 +176,12 @@ class EventQueue {
   /// Order-preserving map from double to uint64: flips negative values so
   /// unsigned comparison of the results matches double comparison.
   /// (-0.0 is normalized to +0.0 first so the two zeros stay tied.)
-  static std::uint64_t time_to_bits(double t) noexcept;
+  static std::uint64_t time_to_bits(double t) noexcept {
+    t += 0.0;  // -0.0 + 0.0 == +0.0: keep the two zeros tied
+    std::uint64_t bits;
+    std::memcpy(&bits, &t, sizeof bits);
+    return (bits & (1ULL << 63)) != 0 ? ~bits : bits | (1ULL << 63);
+  }
   static double bits_to_time(std::uint64_t bits) noexcept;
 
   /// Key larger than any real entry's (no finite time maps to all-ones, and
@@ -193,11 +229,6 @@ class EventQueue {
   void heap_pop_root() const;
   void sift_up(std::size_t logical);
   void sift_down(std::size_t logical) const;
-
-  /// Reassign the outstanding entries' 32-bit seqs to 0..n-1 in their
-  /// current order and reset the counter. Runs once every 2^32 schedules,
-  /// so its O(n log n) cost amortizes to nothing.
-  void renumber_seqs();
 
   /// Discard dead root entries, recycling their slots. After this the root
   /// (if any) is a live event. Called from the const observers, hence the

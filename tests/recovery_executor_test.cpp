@@ -473,6 +473,45 @@ TEST(JournaledWorkloadStudy, EditedComboMakesOnlyItsRecordsStale) {
   EXPECT_EQ(resumed, study_bytes(run_workload_study(study, combos)));
 }
 
+TEST(JournaledWorkloadStudy, ExpiredWatchdogQuarantinesPatternRuns) {
+  // A default-size pattern run executes tens of thousands of simulation
+  // events, far past the engine's 4096-event watchdog poll, so an expired
+  // deadline must catch every run however the engine dispatches its events.
+  const TempPath tmp{"workload_quarantine.jsonl"};
+  WorkloadStudyConfig study;
+  study.patterns = 2;
+  study.threads = 1;
+  study.collect_metrics = true;
+  TrialJournal journal{tmp.path, test_meta()};
+  study.recovery.journal = &journal;
+  study.recovery.trial_timeout_seconds = 1e-9;
+  study.recovery.trial_attempts = 1;
+  const std::vector<WorkloadCombo> combos{WorkloadCombo{
+      SchedulerKind::kFcfs, TechniquePolicy::fixed_technique(TechniqueKind::kParallelRecovery)}};
+  BatchReport report;
+  const std::vector<WorkloadComboResult> results =
+      run_workload_study(study, combos, {}, &report);
+  journal.flush();
+
+  EXPECT_EQ(report.quarantined, 2U);
+  EXPECT_EQ(report.executed, 0U);
+  // Zero placeholders: no pattern run contributes a job or a failure.
+  ASSERT_EQ(results.size(), 1U);
+  EXPECT_EQ(results[0].dropped_fraction.count, 2U);
+  EXPECT_EQ(results[0].dropped_fraction.max, 0.0);
+  EXPECT_EQ(results[0].mean_failures, 0.0);
+  const ResumeIndex index = ResumeIndex::load(tmp.path, test_meta());
+  ASSERT_EQ(index.size(), 2U);
+  for (std::uint64_t p = 0; p < 2; ++p) {
+    const recovery::JournalRecord* record = index.find(study.recovery_batch, p);
+    ASSERT_NE(record, nullptr) << p;
+    const recovery::Outcome<WorkloadRunResult> outcome =
+        recovery::parse_outcome<WorkloadRunResult>(record->payload);
+    EXPECT_TRUE(outcome.quarantined) << p;
+    EXPECT_EQ(outcome.result.total_jobs, 0U) << p;
+  }
+}
+
 TEST(JournaledWorkloadStudy, PayloadWithoutWallTimeStillParses) {
   // A pattern-run payload in the format that predates the optional "w"/"a"
   // keys on workload records: journals written that way must still resume.

@@ -333,6 +333,73 @@ TEST(Runtime, ProgressFractionAndPhaseNames) {
   EXPECT_DOUBLE_EQ(rt->progress_fraction(), 1.0);
 }
 
+// Tie-break at the first checkpoint's completion (t=12, right after its
+// work segment): which of two events at the same instant fires first is
+// decided by insertion order alone.
+TEST(Runtime, FailureQueuedBeforeStartPreemptsTiedCheckpoint) {
+  // The failure was queued before the runtime's phases, so it fires first
+  // and invalidates the checkpoint: progress 10 rolls back to 0, restart
+  // 3 s (t=15), then the full 118 s timeline. Wall = 15 + 118 = 133 s.
+  Harness h;
+  auto rt = h.make(tiny_plan());
+  h.inject_at(*rt, 12.0);
+  rt->start();
+  h.sim.run();
+  ASSERT_TRUE(h.finished);
+  EXPECT_DOUBLE_EQ(h.result.wall_time.to_seconds(), 133.0);
+  EXPECT_EQ(h.result.rollbacks, 1U);
+  EXPECT_DOUBLE_EQ(h.result.rework.to_seconds(), 10.0);
+  EXPECT_EQ(h.result.checkpoints_completed, 9U);
+  EXPECT_DOUBLE_EQ(h.result.time_working.to_seconds(), 110.0);
+  EXPECT_DOUBLE_EQ(h.result.time_checkpointing.to_seconds(), 20.0);
+  EXPECT_DOUBLE_EQ(h.result.time_restarting.to_seconds(), 3.0);
+}
+
+TEST(Runtime, FailureQueuedAfterCheckpointFollowsIt) {
+  // An event at t=10, queued after start(), injects the failure for t=12
+  // only after the checkpoint completion was scheduled, so the checkpoint
+  // completes first: progress 10 is saved, the failure costs no rework,
+  // and the run pays just the 3 s restart. Wall = 118 + 3 = 121 s.
+  Harness h;
+  auto rt = h.make(tiny_plan());
+  rt->start();
+  h.sim.schedule_at(TimePoint::at(Duration::seconds(10.0)),
+                    [&] { h.inject_at(*rt, 12.0); });
+  h.sim.run();
+  ASSERT_TRUE(h.finished);
+  EXPECT_DOUBLE_EQ(h.result.wall_time.to_seconds(), 121.0);
+  EXPECT_EQ(h.result.rollbacks, 1U);
+  EXPECT_DOUBLE_EQ(h.result.rework.to_seconds(), 0.0);
+  EXPECT_EQ(h.result.checkpoints_completed, 9U);
+  EXPECT_DOUBLE_EQ(h.result.time_working.to_seconds(), 100.0);
+  EXPECT_DOUBLE_EQ(h.result.time_checkpointing.to_seconds(), 18.0);
+  EXPECT_DOUBLE_EQ(h.result.time_restarting.to_seconds(), 3.0);
+}
+
+TEST(Runtime, RunUntilStopsTwoRuntimesMidCheckpoint) {
+  // Both runtimes finish their first work segment at t=10 and are inside
+  // the first checkpoint (t=10..12) when run_until(11 s) returns.
+  Simulation sim;
+  int finished = 0;
+  const auto done = [&finished](const ExecutionResult&) { ++finished; };
+  ResilientAppRuntime a{sim, tiny_plan(), 1, done};
+  ResilientAppRuntime b{sim, tiny_plan(), 2, done};
+  a.start();
+  b.start();
+  sim.run_until(TimePoint::at(Duration::seconds(11.0)));
+  EXPECT_EQ(sim.now(), TimePoint::at(Duration::seconds(11.0)));
+  for (const ResilientAppRuntime* rt : {&a, &b}) {
+    EXPECT_STREQ(rt->phase_name(), "checkpointing");
+    EXPECT_EQ(rt->result().checkpoints_completed, 0U);
+    EXPECT_DOUBLE_EQ(rt->result().time_working.to_seconds(), 10.0);
+    EXPECT_EQ(rt->progress_fraction(), 0.1);
+  }
+  sim.run();
+  EXPECT_EQ(finished, 2);
+  EXPECT_DOUBLE_EQ(a.result().wall_time.to_seconds(), 118.0);
+  EXPECT_DOUBLE_EQ(b.result().wall_time.to_seconds(), 118.0);
+}
+
 TEST(Runtime, StartTwiceThrows) {
   Harness h;
   auto rt = h.make(tiny_plan());

@@ -128,6 +128,24 @@ TEST(EventQueue, StaleIdStaysDeadAcrossSlotReuse) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, RenumberKeepsReservedSeqsInOrder) {
+  // A seq reserved for an event held outside the queue keeps its place
+  // among the queued events' when the counter is renumbered, and parks
+  // under it afterwards.
+  EventQueue q;
+  std::string log;
+  q.schedule(at(1.0), [&] { log += 'a'; });
+  std::uint64_t held = q.reserve_seq();
+  q.schedule(at(1.0), [&] { log += 'c'; });
+  std::uint64_t* const reserved[] = {&held};
+  q.renumber_seqs(reserved);
+  EXPECT_EQ(held, 1U);
+  q.schedule(at(1.0), [&] { log += 'd'; });
+  q.schedule_reserved(at(1.0), held, [&] { log += 'b'; });
+  while (auto e = q.pop()) e->callback();
+  EXPECT_EQ(log, "abcd");
+}
+
 TEST(Simulation, ClockAdvancesWithEvents) {
   Simulation sim;
   EXPECT_EQ(sim.now(), TimePoint::origin());

@@ -150,6 +150,23 @@ TEST(StudySmoke, PfsContentionMatchesGolden) {
   expect_golden(base + ".metrics.json", run.metrics_bytes);
 }
 
+// Byte-identity guard for the multi-app workload engine: the Figure 4 and
+// Figure 5 studies and the burst-failure ablation (where one failure
+// callback reaches several runtimes) at one pattern per cell, report and
+// --metrics JSON pinned to goldens.
+TEST(StudySmoke, WorkloadFiguresMatchGolden) {
+  for (const char* name : {"fig4_resource_management", "fig5_resilience_selection",
+                           "ablation_burst_failures"}) {
+    const StudyDefinition* def = StudyRegistry::instance().find(name);
+    ASSERT_NE(def, nullptr) << name;
+    const SmokeArtifacts run = run_smoke(*def, 1, "1");
+    ASSERT_EQ(run.exit_code, 0) << name;
+    const std::string base = std::string{XRES_TEST_DATA_DIR} + "/" + name + "_p1";
+    expect_golden(base + ".txt", run.stdout_bytes);
+    expect_golden(base + ".metrics.json", run.metrics_bytes);
+  }
+}
+
 // A workload ablation's journal written without --metrics holds no per-run
 // metrics, so resuming it with --metrics must re-run those pattern runs
 // instead of merging holes: the resumed report and metrics must equal the

@@ -3,9 +3,9 @@
 //
 //  * the trial engine (core/trial_engine.hpp) at 1 and 4 worker threads
 //    against a queued reference built here: the same runtime with its
-//    phases, wall-time cap and failures as events in one Simulation queue,
-//    the failures coming from AppFailureProcess (drawn) or
-//    TraceFailureProcess (replayed). Every ExecutionResult field, the
+//    failures as events in one Simulation queue, whose head is then the
+//    runtime's inline horizon, the failures coming from AppFailureProcess
+//    (drawn) or TraceFailureProcess (replayed). Every ExecutionResult field, the
 //    merged metrics and trial 0's trace must match exactly (byte drift
 //    fails), for all three work kinds;
 //  * surrogate-answered vs. fully-simulated efficiency studies — anchor and
@@ -110,10 +110,10 @@ ReferenceInputs reference_inputs(const TrialWork& work) {
   return in;
 }
 
-/// The queued reference for one trial of a feasible plan: the runtime
-/// without a direct host (its phases and wall-time cap go through the
-/// Simulation queue) and a failure process scheduling into the same queue,
-/// run by sim.run().
+/// The queued reference for one trial of a feasible plan: a failure
+/// process scheduling into the Simulation queue, run by sim.run(). The
+/// runtime's horizon is then the queue head, and whatever of its phases
+/// and wall-time cap does not come before it is parked in the queue.
 ExecutionResult run_reference_trial(const TrialWork& work, std::uint64_t seed,
                                     obs::TrialObs* obs) {
   const ReferenceInputs in = reference_inputs(work);

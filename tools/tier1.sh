@@ -138,7 +138,18 @@ determinism_check() {
   cmp "$dir/t1a.json" "$dir/t1b.json"
   cmp "$dir/r1a-clean.txt" "$dir/r4-clean.txt"
   cmp "$dir/m1a.json" "$dir/m4.json"
-  echo "determinism: OK (repeat + threads 1 vs 4 byte-identical)"
+
+  # The workload engine, in Resilience Selection mode where both the
+  # per-job plan memo and the inline phase dispatch run: threads 1 vs 4.
+  local wargs=(run fig5_resilience_selection --set patterns=1)
+  "$BUILD"/tools/xres "${wargs[@]}" --threads 1 --metrics "$dir/w1.json" > "$dir/w1.txt"
+  "$BUILD"/tools/xres "${wargs[@]}" --threads 4 --metrics "$dir/w4.json" > "$dir/w4.txt"
+  local wfilter=(grep -v -e 'phases:' -e '^metrics written to ')
+  "${wfilter[@]}" "$dir/w1.txt" > "$dir/w1-clean.txt"
+  "${wfilter[@]}" "$dir/w4.txt" > "$dir/w4-clean.txt"
+  cmp "$dir/w1-clean.txt" "$dir/w4-clean.txt"
+  cmp "$dir/w1.json" "$dir/w4.json"
+  echo "determinism: OK (repeat + threads 1 vs 4 byte-identical, single-app and workload)"
 }
 determinism_check
 stage_done determinism
