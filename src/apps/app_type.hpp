@@ -13,6 +13,7 @@
 /// are invariant in application size.
 
 #include <array>
+#include <compare>
 #include <string>
 
 #include "util/units.hpp"
@@ -34,7 +35,7 @@ struct AppType {
   /// T_W = 1 - T_C.
   [[nodiscard]] double work_fraction() const { return 1.0 - comm_fraction; }
 
-  friend bool operator==(const AppType&, const AppType&) = default;
+  friend auto operator<=>(const AppType&, const AppType&) = default;
 };
 
 /// Length of one synthetic time step (paper: one minute).

@@ -53,7 +53,7 @@ struct AppSpec {
 
   void validate() const;
 
-  friend bool operator==(const AppSpec&, const AppSpec&) = default;
+  friend auto operator<=>(const AppSpec&, const AppSpec&) = default;
 };
 
 /// Identifier for an application instance in a workload.

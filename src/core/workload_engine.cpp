@@ -20,6 +20,34 @@
 
 namespace xres {
 
+WorkloadPlanCache::WorkloadPlanCache(MachineSpec machine, ResilienceConfig resilience)
+    : machine_{std::move(machine)}, resilience_{std::move(resilience)} {}
+
+const ExecutionPlan& WorkloadPlanCache::plan(const TechniquePolicy& policy,
+                                             const AppSpec& spec) {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  const auto [it, inserted] = plans_.try_emplace(Key{policy.mode, policy.fixed, spec});
+  if (!inserted) return it->second;
+  switch (policy.mode) {
+    case TechniquePolicy::Mode::kIdealBaseline:
+      it->second = make_plan(TechniqueKind::kNone, spec, machine_, resilience_);
+      break;
+    case TechniquePolicy::Mode::kFixed:
+      it->second = make_plan(policy.fixed, spec, machine_, resilience_);
+      break;
+    case TechniquePolicy::Mode::kSelection:
+      if (!selector_.has_value()) selector_.emplace(machine_, resilience_);
+      it->second = selector_->select(spec).plan;
+      break;
+  }
+  return it->second;
+}
+
+std::size_t WorkloadPlanCache::size() const {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  return plans_.size();
+}
+
 namespace {
 
 /// Per-job engine state is keyed by the job's position in the pattern, and
@@ -28,8 +56,10 @@ OwnerId owner_of(std::size_t job) { return OwnerId{job}; }
 
 class WorkloadEngine final : public SchedulerContext {
  public:
-  WorkloadEngine(const WorkloadEngineConfig& config, const ArrivalPattern& pattern)
+  WorkloadEngine(const WorkloadEngineConfig& config, const ArrivalPattern& pattern,
+                 WorkloadPlanCache& plan_cache)
       : config_{config},
+        plan_cache_{plan_cache},
         machine_{config.machine},
         severity_{config.resilience.severity_weights},
         scheduler_{make_scheduler(config.scheduler)},
@@ -40,9 +70,9 @@ class WorkloadEngine final : public SchedulerContext {
         platform_model_{make_platform_model(config.machine)},
         runtimes_(jobs_.size()) {
     config_.resilience.validate();
-    if (config_.policy.mode == TechniquePolicy::Mode::kSelection) {
-      selector_.emplace(config_.machine, config_.resilience);
-    }
+    XRES_CHECK(plan_cache.machine() == config.machine &&
+                   plan_cache.resilience() == config.resilience,
+               "the plan cache was built for another machine or resilience config");
     if (config_.policy.mode != TechniquePolicy::Mode::kIdealBaseline) {
       failures_.emplace(
           sim_, machine_, config_.resilience.node_mtbf, severity_,
@@ -123,16 +153,15 @@ class WorkloadEngine final : public SchedulerContext {
     // deadline event is about to drop it from the queue.
     if (job.deadline <= sim_.now()) return false;
     const std::size_t j = index_of(job);
-    // Planned once per run, at the first attempt: schedulers retry waiting
+    // Looked up once per run, at the first attempt: schedulers retry waiting
     // jobs at every mapping event, and the plan depends only on the job.
-    std::unique_ptr<ExecutionPlan>& memo = plans_[j];
-    if (memo == nullptr) memo = std::make_unique<ExecutionPlan>(plan_for(job.spec));
+    const ExecutionPlan*& memo = plans_[j];
+    if (memo == nullptr) memo = &plan_cache_.plan(config_.policy, job.spec);
     if (!memo->feasible) return false;
     auto range = machine_.allocate(memo->physical_nodes, owner_of(j));
     if (!range.has_value()) return false;
-    // The job starts and is never attempted again: its runtime takes the plan.
-    ExecutionPlan plan = std::move(*memo);
-    memo.reset();
+    // The job starts and is never attempted again: its runtime takes a copy.
+    ExecutionPlan plan = *memo;
     on_utilization_changed();
     if (config_.record_occupancy) occupancy_.record_start(job.id, *range, sim_.now());
 
@@ -190,18 +219,6 @@ class WorkloadEngine final : public SchedulerContext {
   ResilientAppRuntime* running(std::size_t j) const {
     ResilientAppRuntime* runtime = runtimes_[j].get();
     return runtime != nullptr && !runtime->finished() ? runtime : nullptr;
-  }
-
-  ExecutionPlan plan_for(const AppSpec& spec) {
-    switch (config_.policy.mode) {
-      case TechniquePolicy::Mode::kIdealBaseline:
-        return make_plan(TechniqueKind::kNone, spec, config_.machine, config_.resilience);
-      case TechniquePolicy::Mode::kFixed:
-        return make_plan(config_.policy.fixed, spec, config_.machine, config_.resilience);
-      case TechniquePolicy::Mode::kSelection:
-        return selector_->select(spec).plan;
-    }
-    XRES_CHECK(false, "unhandled technique policy");
   }
 
   void on_arrival(std::size_t j) {
@@ -272,13 +289,12 @@ class WorkloadEngine final : public SchedulerContext {
     scheduler_->map(pending, *this, sched_rng_);
   }
 
-  /// Take a waiting job out of the unmapped set, with its plan (it will
-  /// not be attempted again); false when it was not waiting.
+  /// Take a waiting job out of the unmapped set (it will not be attempted
+  /// again); false when it was not waiting.
   bool remove_unmapped(std::size_t j) {
     auto it = std::find(unmapped_.begin(), unmapped_.end(), j);
     if (it == unmapped_.end()) return false;
     unmapped_.erase(it);
-    plans_[j].reset();
     return true;
   }
 
@@ -298,6 +314,7 @@ class WorkloadEngine final : public SchedulerContext {
   void note_departure() { last_departure_ = sim_.now(); }
 
   WorkloadEngineConfig config_;
+  WorkloadPlanCache& plan_cache_;
   Simulation sim_;
   Machine machine_;
   SeverityModel severity_;
@@ -305,10 +322,9 @@ class WorkloadEngine final : public SchedulerContext {
   Pcg32 sched_rng_;
   std::vector<Job> jobs_;
   // Per-job state, parallel to jobs_.
-  std::vector<std::unique_ptr<ExecutionPlan>> plans_;  ///< planned, not yet started
+  std::vector<const ExecutionPlan*> plans_;  ///< into plan_cache_, once looked up
   std::vector<EventId> deadline_events_;
 
-  std::optional<ResilienceSelector> selector_;
   std::optional<SystemFailureProcess> failures_;
   std::unique_ptr<PlatformModel> platform_model_;
   /// The machine-wide PFS device, when the platform model has one.
@@ -338,8 +354,9 @@ class WorkloadEngine final : public SchedulerContext {
 WorkloadRunResult run_workload(const WorkloadEngineConfig& config,
                                const ArrivalPattern& pattern) {
   XRES_CHECK(!pattern.jobs.empty(), "workload pattern is empty");
-  WorkloadEngine engine{config, pattern};
-  return engine.run();
+  if (config.plans != nullptr) return WorkloadEngine{config, pattern, *config.plans}.run();
+  WorkloadPlanCache plans{config.machine, config.resilience};
+  return WorkloadEngine{config, pattern, plans}.run();
 }
 
 }  // namespace xres

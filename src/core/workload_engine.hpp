@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
+#include <optional>
 
 #include "apps/workload.hpp"
 #include "core/occupancy.hpp"
@@ -16,6 +18,8 @@
 #include "failure/process.hpp"
 #include "platform/spec.hpp"
 #include "resilience/config.hpp"
+#include "resilience/plan.hpp"
+#include "resilience/selector.hpp"
 #include "rm/scheduler.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
@@ -25,6 +29,46 @@ namespace xres {
 namespace obs {
 class TrialObs;
 }
+
+/// The execution plans of workload jobs, keyed by (technique policy,
+/// AppSpec) under one machine and resilience config. A workload study's
+/// (combo, pattern) runs all plan through one cache, so each distinct key
+/// is planned once, at its first request and under the cache's lock:
+/// planning work and results do not depend on how many threads share it.
+/// A plan keeps its address for the cache's lifetime.
+class WorkloadPlanCache {
+ public:
+  WorkloadPlanCache(MachineSpec machine, ResilienceConfig resilience);
+
+  WorkloadPlanCache(const WorkloadPlanCache&) = delete;
+  WorkloadPlanCache& operator=(const WorkloadPlanCache&) = delete;
+
+  /// The plan for \p spec under \p policy: make_plan for a fixed technique
+  /// (kNone for the Ideal Baseline), the selector's choice under Resilience
+  /// Selection.
+  [[nodiscard]] const ExecutionPlan& plan(const TechniquePolicy& policy, const AppSpec& spec);
+
+  [[nodiscard]] const MachineSpec& machine() const { return machine_; }
+  [[nodiscard]] const ResilienceConfig& resilience() const { return resilience_; }
+
+  /// Distinct (policy, spec) keys planned so far.
+  [[nodiscard]] std::size_t size() const;
+
+ private:
+  struct Key {
+    TechniquePolicy::Mode mode;
+    TechniqueKind fixed;
+    AppSpec spec;
+
+    friend auto operator<=>(const Key&, const Key&) = default;
+  };
+
+  const MachineSpec machine_;
+  const ResilienceConfig resilience_;
+  mutable std::mutex mutex_;
+  std::optional<ResilienceSelector> selector_;  ///< built at the first selection
+  std::map<Key, ExecutionPlan> plans_;
+};
 
 struct WorkloadEngineConfig {
   MachineSpec machine{MachineSpec::exascale()};
@@ -50,6 +94,11 @@ struct WorkloadEngineConfig {
   /// Must outlive the run and is touched only by the running thread. Null
   /// disables observation at pointer-test cost.
   obs::TrialObs* obs{nullptr};
+
+  /// The plan cache this run plans through, shared with the other runs of
+  /// a study; its machine and resilience config must equal this config's.
+  /// Null plans through a cache local to the run.
+  WorkloadPlanCache* plans{nullptr};
 };
 
 struct WorkloadRunResult {

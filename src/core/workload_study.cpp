@@ -22,6 +22,10 @@ std::vector<WorkloadComboResult> run_workload_study(
     patterns.push_back(generate_pattern(config.workload, config.seed, p));
   }
 
+  // One plan cache for the study: each distinct (policy, job spec) among
+  // all combos and patterns is planned once.
+  WorkloadPlanCache plans{config.machine, config.resilience};
+
   // Every (combo, pattern) run is independent: execute the flat grid on
   // the worker pool, each run writing its own slot, then reduce serially in
   // (combo, pattern) order so summaries are identical for any thread count.
@@ -47,6 +51,7 @@ std::vector<WorkloadComboResult> run_workload_study(
             // reduction, mirroring the paper's shared arrival patterns).
             engine.seed = derive_seed(config.seed, kWorkloadEngineSeedKey, p);
             engine.obs = obs;
+            engine.plans = &plans;
             return run_workload(engine, patterns[p]);
           },
           observers, config.recovery, config.recovery_batch,

@@ -29,7 +29,7 @@ ResilientAppRuntime::ResilientAppRuntime(Simulation& sim, ExecutionPlan plan,
 ResilientAppRuntime::~ResilientAppRuntime() {
   cancel(phase_slot_);
   cancel(timeout_slot_);
-  sim_.release(*this);
+  sim_.withdraw(*this);
 }
 
 const char* ResilientAppRuntime::phase_name() const {
@@ -97,8 +97,10 @@ void ResilientAppRuntime::start() {
 
   if (plan_.max_wall_time.is_finite()) {
     hold(timeout_slot_, sim_.now() + plan_.max_wall_time);
+    sim_.publish(*this);  // before the next reservation (Simulation::reserve_seq)
   }
   enter_working();
+  sim_.publish(*this);
 }
 
 void ResilientAppRuntime::set_pfs_device(PfsDevice* device) {
@@ -116,9 +118,10 @@ void ResilientAppRuntime::run_inline() {
     // The common case first: consecutive phase completions strictly before
     // both the held wall-time cap and the Simulation's bound. Comparing
     // times alone is exact whatever the seqs, and neither limit moves while
-    // the phase stays held: the cap is cancelled or parked only together
-    // with the phase, and the one callback a completion runs, on_complete_,
-    // runs after complete() cancelled it. The queue head can move (a
+    // the phase stays held: the cap is cancelled only together with the
+    // phase, and the bound moves only in the one callback a completion
+    // runs, on_complete_ (it may stop the run or start other runtimes),
+    // after complete() cancelled both. The queue head can move (a
     // completion may schedule), so it is checked per phase; a phase it
     // precedes ends the run, as nothing later of ours comes first either.
     TimePoint limit = sim_.bound_time();
@@ -132,40 +135,31 @@ void ResilientAppRuntime::run_inline() {
       dispatch_phase();
     }
     // Otherwise the earlier of the held phase and cap by (time, seq).
-    Slot* next = phase_slot_.state == Pending::kHeld ? &phase_slot_ : nullptr;
-    if (timeout_slot_.state == Pending::kHeld &&
-        (next == nullptr || timeout_slot_.time < next->time ||
-         (timeout_slot_.time == next->time && timeout_slot_.seq < next->seq))) {
-      next = &timeout_slot_;
-    }
-    if (next == nullptr || !sim_.comes_first(next->time, next->seq)) return;
-    sim_.advance(next->time);
-    next->state = Pending::kNone;
-    if (next == &phase_slot_) {
+    TimePoint when{};
+    std::uint64_t seq{0};
+    if (!earliest_held(when, seq) || !sim_.comes_first(when, seq)) return;
+    sim_.advance(when);
+    if (phase_slot_.state == Pending::kHeld && phase_slot_.seq == seq) {
+      phase_slot_.state = Pending::kNone;
       dispatch_phase();
     } else {
+      timeout_slot_.state = Pending::kNone;
       dispatch_timeout();
     }
   }
 }
 
-void ResilientAppRuntime::park() {
-  if (phase_slot_.state == Pending::kHeld) {
-    phase_slot_.event =
-        sim_.schedule_reserved(phase_slot_.time, phase_slot_.seq, [this] {
-          phase_slot_.state = Pending::kNone;
-          dispatch_phase();
-        });
-    phase_slot_.state = Pending::kQueued;
+bool ResilientAppRuntime::earliest_held(TimePoint& when, std::uint64_t& seq) const {
+  const Slot* next = phase_slot_.state == Pending::kHeld ? &phase_slot_ : nullptr;
+  if (timeout_slot_.state == Pending::kHeld &&
+      (next == nullptr || timeout_slot_.time < next->time ||
+       (timeout_slot_.time == next->time && timeout_slot_.seq < next->seq))) {
+    next = &timeout_slot_;
   }
-  if (timeout_slot_.state == Pending::kHeld) {
-    timeout_slot_.event =
-        sim_.schedule_reserved(timeout_slot_.time, timeout_slot_.seq, [this] {
-          timeout_slot_.state = Pending::kNone;
-          dispatch_timeout();
-        });
-    timeout_slot_.state = Pending::kQueued;
-  }
+  if (next == nullptr) return false;
+  when = next->time;
+  seq = next->seq;
+  return true;
 }
 
 void ResilientAppRuntime::held_seqs(std::vector<std::uint64_t*>& out) {
@@ -176,11 +170,7 @@ void ResilientAppRuntime::held_seqs(std::vector<std::uint64_t*>& out) {
 void ResilientAppRuntime::cancel(Slot& slot) {
   // A held event just forgets its reserved seq, as a cancelled queued
   // event would never have popped.
-  if (slot.state == Pending::kQueued) {
-    sim_.cancel(slot.event);
-  } else if (slot.state == Pending::kTransfer) {
-    pfs_device_->cancel(pending_transfer_);
-  }
+  if (slot.state == Pending::kTransfer) pfs_device_->cancel(pending_transfer_);
   slot.state = Pending::kNone;
 }
 
@@ -195,6 +185,7 @@ void ResilientAppRuntime::begin_pfs_phase(Duration nominal) {
   pending_transfer_ = pfs_device_->begin_transfer(request, [this] {
     phase_slot_.state = Pending::kNone;
     dispatch_phase();
+    sim_.publish(*this);
   });
   phase_slot_.state = Pending::kTransfer;
 }
@@ -460,6 +451,7 @@ void ResilientAppRuntime::abort() {
   accrue(sim_.now() - phase_start_);
   cancel(phase_slot_);
   cancel(timeout_slot_);
+  sim_.publish(*this);
   phase_ = Phase::kAborted;
   result_.completed = false;
   result_.wall_time = sim_.now() - start_time_;
@@ -599,6 +591,7 @@ void ResilientAppRuntime::on_failure(const Failure& failure) {
   } else {
     handle_parallel_recovery_failure();
   }
+  sim_.publish(*this);
 }
 
 }  // namespace xres

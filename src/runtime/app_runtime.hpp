@@ -18,15 +18,18 @@
 /// one pending phase completion and one wall-time cap; `on_failure`
 /// cancels the phase and transitions. Both live in slots of the runtime's
 /// own, each a (time, seq) under a seq reserved from the Simulation, and
-/// run_inline() dispatches them while they come before the horizon: the
-/// queue head, run_until's bound, and in a single-app trial the driver's
-/// next failure (sim/simulation.hpp). Whatever does not come first is
-/// parked in the queue under its reserved seq, so the executed order is
-/// exactly the fully queued one. A phase that moves data through the
-/// shared PFS with a device attached is a device transfer instead.
-/// Progress is measured in stretched-work seconds against
-/// plan.work_target; a per-level ledger records the progress captured by
-/// the last completed checkpoint of each level.
+/// never enter the event queue: the runtime is a Simulation::SlotHolder.
+/// run_inline() dispatches them while they come first: before the queue
+/// head, every other runtime's next event, run_until's bound, and in a
+/// single-app trial the driver's next failure (sim/simulation.hpp). The
+/// runtime publishes whenever its slots change outside that loop (start, a
+/// failure, an abort, a PFS transfer completion), and the Simulation
+/// re-reads its earliest held event after the loop, so it runs the runtime
+/// exactly when a queue holding every event would pop its next one. A
+/// phase that moves data through the shared PFS with a device attached is
+/// a device transfer instead. Progress is measured in stretched-work
+/// seconds against plan.work_target; a per-level ledger records the
+/// progress captured by the last completed checkpoint of each level.
 
 #include <cstdint>
 #include <functional>
@@ -125,27 +128,24 @@ class ResilientAppRuntime final : public Simulation::SlotHolder {
   /// comes first.
   void run_inline() override;
 
-  /// Park the held events in the Simulation queue under their seqs.
-  void park() override;
-
+  bool earliest_held(TimePoint& when, std::uint64_t& seq) const override;
   void held_seqs(std::vector<std::uint64_t*>& out) override;
 
  private:
-  /// Where a pending event lives: held in the runtime's slot, parked in the
-  /// queue, or (a phase only) a PFS device transfer.
-  enum class Pending : std::uint8_t { kNone, kHeld, kQueued, kTransfer };
+  /// Where a pending event lives: held in the runtime's slot, or (a phase
+  /// only) a PFS device transfer.
+  enum class Pending : std::uint8_t { kNone, kHeld, kTransfer };
 
   struct Slot {
     TimePoint time{};
     std::uint64_t seq{0};
     Pending state{Pending::kNone};
-    EventId event{};  ///< while kQueued
   };
 
   /// Finish the pending phase: the one completion handler, a switch on the
-  /// current phase. Reached from the inline loop, a parked event or a PFS
-  /// transfer, each after clearing the phase slot. Inline (defined below
-  /// the class): the inline loop runs it once per simulated phase.
+  /// current phase. Reached from the inline loop or a PFS transfer, each
+  /// after clearing the phase slot. Inline (defined below the class): the
+  /// inline loop runs it once per simulated phase.
   void dispatch_phase();
 
   /// Fire the wall-time cap, after the caller cleared its slot.
@@ -153,7 +153,7 @@ class ResilientAppRuntime final : public Simulation::SlotHolder {
 
   /// Hold an event at \p when in \p slot under a freshly reserved seq.
   void hold(Slot& slot, TimePoint when) {
-    slot.seq = sim_.reserve_seq(*this);
+    slot.seq = sim_.reserve_seq();
     slot.time = when;
     slot.state = Pending::kHeld;
   }

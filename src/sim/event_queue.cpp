@@ -170,8 +170,8 @@ void EventQueue::sift_down(std::size_t logical) const {
 void EventQueue::renumber_seqs(std::span<std::uint64_t* const> reserved) {
   // Order of the outstanding seqs (none has wrapped yet): heap entries are
   // refs 0..heap_size_-1, reserved seqs the refs after them. Reassigning
-  // ranks in that order preserves every pairwise comparison, so the heap
-  // remains valid and replay is unaffected.
+  // ranks in that order, equal seqs to one rank, preserves every pairwise
+  // comparison, so the heap remains valid and replay is unaffected.
   struct Key {
     std::uint64_t seq;
     std::size_t ref;
@@ -184,17 +184,18 @@ void EventQueue::renumber_seqs(std::span<std::uint64_t* const> reserved) {
   }
   std::sort(keys.begin(), keys.end(),
             [](const Key& a, const Key& b) { return a.seq < b.seq; });
-  std::uint64_t rank = 0;
-  for (const Key& key : keys) {
-    if (key.ref < heap_size_) {
-      HeapEntry& e = at(key.ref);
+  std::uint64_t next_rank = 0;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    if (k == 0 || keys[k].seq != keys[k - 1].seq) ++next_rank;
+    const std::uint64_t rank = next_rank - 1;
+    if (keys[k].ref < heap_size_) {
+      HeapEntry& e = at(keys[k].ref);
       e.lo = (rank << 32) | (e.lo & 0xFFFFFFFFULL);
     } else {
-      *reserved[key.ref - heap_size_] = rank;
+      *reserved[keys[k].ref - heap_size_] = rank;
     }
-    ++rank;
   }
-  next_seq_ = rank;
+  next_seq_ = next_rank;
 }
 
 EventId EventQueue::schedule(TimePoint when, EventCallback callback) {

@@ -86,9 +86,9 @@ class EventQueue {
 
   /// Take the next insertion seq without scheduling anything. An event held
   /// outside the queue (Simulation::SlotHolder) orders against queued
-  /// events by it and may be parked under it later (schedule_reserved).
-  /// The caller renumbers first when seqs_exhausted(), passing every seq it
-  /// still holds; schedule() renumbers on its own, knowing of none.
+  /// events by it. The caller renumbers first when seqs_exhausted(),
+  /// passing every seq it still holds; schedule() renumbers on its own,
+  /// knowing of none.
   std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Schedule \p callback at \p when under \p seq, a seq from reserve_seq()
@@ -108,9 +108,10 @@ class EventQueue {
   [[nodiscard]] bool seqs_exhausted() const { return next_seq_ > 0xFFFFFFFFULL; }
 
   /// Reassign the outstanding seqs — every heap entry's plus the reserved
-  /// seqs \p reserved points at, rewritten in place — to 0..n-1 in their
-  /// current order and reset the counter. Runs once every 2^32 seqs, so
-  /// its O(n log n) cost amortizes to nothing.
+  /// seqs \p reserved points at, rewritten in place — to ranks 0, 1, ... in
+  /// their current order and reset the counter. Equal seqs (a holder's
+  /// held seq and its published key) share one rank. Runs once every 2^32
+  /// seqs, so its O(n log n) cost amortizes to nothing.
   void renumber_seqs(std::span<std::uint64_t* const> reserved = {});
 
   /// Cancel a pending event. Returns true if the event was still pending

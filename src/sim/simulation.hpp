@@ -1,31 +1,38 @@
 #pragma once
 
 /// \file simulation.hpp
-/// The discrete-event simulation engine: a clock plus an event queue.
+/// The discrete-event simulation engine: a clock, an event queue of one-shot
+/// callbacks and a heap of slot holders.
 ///
 /// A Simulation owns simulated time. Model components schedule callbacks at
 /// absolute or relative times; the engine executes them in deterministic
 /// order (time, then insertion order) and advances the clock monotonically.
 /// Scheduling into the past is a programming error and throws.
 ///
-/// Inline dispatch. A SlotHolder (the resilience runtime) keeps its next
+/// Slot holders. A SlotHolder (the resilience runtime) keeps its next
 /// events out of the queue, in slots of its own, each under an insertion
-/// seq reserved from the queue's one counter, and runs them itself while
-/// they come first: before the queue head, within run_until's bound, before
-/// the caller's horizon, with no stop requested. Only the last holder to
-/// reserve a seq holds events; reserving for another parks the previous
-/// one's in the queue under the seqs they reserved. After every queued
-/// callback the Simulation lets that holder run inline, then parks what is
-/// left. The executed order is the one a queue holding every event would
-/// give, tie-breaks included.
+/// seq reserved from the queue's one counter. The Simulation keeps every
+/// holder that holds an event in a small min-heap keyed by the (time, seq)
+/// of its earliest held event, and its loop runs whichever comes first:
+/// the queue head's callback, or the root holder, which dispatches its
+/// events inline while each comes before the queue head, the best other
+/// holder, run_until's bound and the caller's horizon, with no stop
+/// requested. The executed order is the one a queue holding every event
+/// would give, tie-breaks included.
+///
+/// A holder publishes (the Simulation re-reads its key) whenever its slots
+/// change outside its own inline run; the loop re-reads the key when that
+/// run ends. A lone holder that no loop has run (the single-app trial's,
+/// whose driver runs it itself) publishes for one compare: it enters the
+/// heap only when the loop first runs or a second holder publishes.
 
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "util/check.hpp"
 #include "util/units.hpp"
 
 namespace xres {
@@ -36,16 +43,20 @@ class Simulation {
   class SlotHolder {
    public:
     /// Dispatch held events inline, in (time, seq) order, while each
-    /// comes_first(). The single-app trial driver calls it directly; the
-    /// queue host calls it after each callback.
+    /// comes_first(). The Simulation loop runs the root holder; the
+    /// single-app trial driver runs its lone holder directly.
     virtual void run_inline() = 0;
-    /// Move every held event into the queue under its reserved seq.
-    virtual void park() = 0;
+    /// The (time, seq) of the earliest held event; false when none is held.
+    virtual bool earliest_held(TimePoint& when, std::uint64_t& seq) const = 0;
     /// Append pointers to the held events' seqs (renumbering rewrites them).
     virtual void held_seqs(std::vector<std::uint64_t*>& out) = 0;
 
    protected:
     ~SlotHolder() = default;
+
+   private:
+    friend class Simulation;
+    bool listed_{false};  ///< in the Simulation's holder heap
   };
 
   Simulation() = default;
@@ -73,31 +84,35 @@ class Simulation {
   /// True if \p id is still pending.
   [[nodiscard]] bool pending(EventId id) const { return queue_.pending(id); }
 
-  /// Run until the event queue drains or request_stop() is called.
-  /// \p max_events guards against runaway models (0 = unlimited); it is
-  /// checked before each queue pop, so a holder's inline run that crosses
-  /// it finishes first.
+  /// Run until no event is left or request_stop() is called. \p max_events
+  /// guards against runaway models (0 = unlimited); it is checked before
+  /// each queue pop or holder run, so a holder's inline run that crosses it
+  /// finishes first.
   void run(std::uint64_t max_events = 0);
 
   /// Execute all events with time <= \p until, then advance the clock to
   /// \p until (even if no event fired exactly there).
   void run_until(TimePoint until);
 
-  /// Reserve the next insertion seq for an event \p holder keeps in a slot.
-  /// Parks the previous holder's events first when it is another.
-  std::uint64_t reserve_seq(SlotHolder& holder) {
-    if (holder_ != &holder) switch_holder(holder);
-    return next_seq();
+  /// Reserve the next insertion seq for an event a holder keeps in a slot.
+  /// Renumbering (every 2^32 seqs, possibly inside this call) rewrites the
+  /// held seqs of the lone holder and the listed ones only (a running
+  /// holder is either), so outside its inline run a holder publishes
+  /// between two reservations.
+  std::uint64_t reserve_seq() { return next_seq(); }
+
+  /// \p holder's slots changed outside its own inline run: re-read its key.
+  void publish(SlotHolder& holder) {
+    if (&holder != lone_) relist(holder);
   }
 
-  /// \p holder is going away: forget it (its events must be cancelled).
-  void release(SlotHolder& holder) {
-    if (holder_ == &holder) holder_ = nullptr;
-  }
-
-  /// Park a held event: schedule \p callback at \p when under \p seq.
-  EventId schedule_reserved(TimePoint when, std::uint64_t seq, EventCallback callback) {
-    return queue_.schedule_reserved(when, seq, std::move(callback));
+  /// \p holder is going away (its events must be cancelled).
+  void withdraw(SlotHolder& holder) {
+    if (&holder == lone_) {
+      lone_ = nullptr;
+    } else if (holder.listed_) {
+      unlist(position_of(holder));
+    }
   }
 
   /// Bound inline dispatch by an event the caller keeps and fires itself
@@ -126,27 +141,27 @@ class Simulation {
   [[nodiscard]] TimePoint horizon_time() const { return horizon_time_; }
 
   /// True when a held event at (\p when, \p seq) is the next to execute:
-  /// no stop requested, within run_until's bound, before the horizon and
-  /// before the queue head.
+  /// no stop requested, within run_until's bound, before the horizon, the
+  /// best other holder and the queue head.
   [[nodiscard]] bool comes_first(TimePoint when, std::uint64_t seq) const {
-    return (when < bound_time_ || (when == bound_time_ && seq < bound_seq_)) &&
-           queue_.precedes_head(when, seq);
+    return before(when, seq, bound_time_, bound_seq_) && queue_.precedes_head(when, seq);
   }
 
   /// comes_first's two halves for a holder's tight loop: an event strictly
   /// before bound_time() is within run_until's bound and before the
-  /// horizon (-inf once a stop is requested) whatever its seq; it comes
-  /// first when it also precedes the queue head.
+  /// horizon and the best other holder (-inf once a stop is requested)
+  /// whatever its seq; it comes first when it also precedes the queue head.
   [[nodiscard]] TimePoint bound_time() const { return bound_time_; }
   [[nodiscard]] bool precedes_queue(TimePoint when, std::uint64_t seq) const {
     return queue_.precedes_head(when, seq);
   }
 
   /// Execute-time bookkeeping of one event at \p when, queued or inline:
-  /// the watchdog poll every 4096 executed events (util/deadline.hpp; it
-  /// throws TrialTimeoutError past the executor-armed deadline), the clock,
-  /// and the executed-event count.
+  /// the clock's monotonicity check, the watchdog poll every 4096 executed
+  /// events (util/deadline.hpp; it throws TrialTimeoutError past the
+  /// executor-armed deadline), the clock, and the executed-event count.
   void advance(TimePoint when) {
+    XRES_CHECK(when >= now_, "simulation clock would move backwards");
     if ((events_processed_ & 0xFFFU) == 0) poll_watchdog();
     now_ = when;
     ++events_processed_;
@@ -160,35 +175,71 @@ class Simulation {
   }
   [[nodiscard]] bool stop_requested() const { return stop_requested_; }
 
-  /// Number of events in the queue (a holder's events count once parked).
+  /// Number of events in the queue (held events are not counted).
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// Total events executed since construction, queued or inline.
   [[nodiscard]] std::uint64_t events_processed() const { return events_processed_; }
 
  private:
-  /// Let the holder run inline, then park what it still holds; repeat for
-  /// each holder its dispatch made current.
-  void settle();
+  /// List the lone holder, if any, in the heap: the loop is about to run,
+  /// or a second holder publishes.
+  void host();
+  /// publish()'s slow path: adopt \p holder as the lone holder, or re-read
+  /// its key and (re)position it in the heap, or drop it when it holds
+  /// nothing.
+  void relist(SlotHolder& holder);
+  /// True when the root holder's key precedes the queue head.
+  [[nodiscard]] bool holder_first() const {
+    return !heap_.empty() && queue_.precedes_head(heap_.front().time, heap_.front().seq);
+  }
+  /// Let the root holder run inline, bounded by the best other holder.
+  void run_root();
   /// Pop and execute the next queued event; false when none is left.
   bool execute_next();
-  void switch_holder(SlotHolder& holder);
   std::uint64_t next_seq() {
     if (queue_.seqs_exhausted()) renumber();
     return queue_.reserve_seq();
   }
   /// Renumber the queue's seqs together with every reserved one held
-  /// outside it (the holder's and the horizon's).
+  /// outside it (holders' slots and keys, the horizon, the others bound).
   void renumber();
   void update_bound() {
     bound_time_ = stop_requested_ ? TimePoint::origin() - Duration::infinity() : until_;
     bound_seq_ = std::numeric_limits<std::uint64_t>::max();
-    if (has_horizon_ && horizon_time_ <= bound_time_) {
-      bound_time_ = horizon_time_;
-      bound_seq_ = horizon_seq_;
+    if (has_horizon_) lower_bound_to(horizon_time_, horizon_seq_);
+    if (running_ != nullptr) lower_bound_to(others_time_, others_seq_);
+  }
+  void lower_bound_to(TimePoint when, std::uint64_t seq) {
+    if (before(when, seq, bound_time_, bound_seq_)) {
+      bound_time_ = when;
+      bound_seq_ = seq;
     }
   }
   void poll_watchdog();
+
+  /// The deterministic event order: time, then insertion seq.
+  static bool before(TimePoint a_time, std::uint64_t a_seq, TimePoint b_time,
+                     std::uint64_t b_seq) {
+    return a_time < b_time || (a_time == b_time && a_seq < b_seq);
+  }
+
+  // ---- the holder heap: a binary min-heap of listed holders by key ----
+  struct Listed {
+    TimePoint time;  ///< the key: the holder's earliest held event
+    std::uint64_t seq;
+    SlotHolder* holder;
+  };
+  static bool earlier(const Listed& a, const Listed& b) {
+    return before(a.time, a.seq, b.time, b.seq);
+  }
+  /// Index of a listed holder: a scan, as only the root is re-keyed often
+  /// and the heap holds a few holders (the running applications).
+  [[nodiscard]] std::size_t position_of(const SlotHolder& holder) const;
+  void unlist(std::size_t pos);
+  /// Move heap_[pos] up to its place; returns where it landed.
+  std::size_t sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
 
   EventQueue queue_;
   TimePoint now_{TimePoint::origin()};
@@ -196,14 +247,28 @@ class Simulation {
   std::uint64_t watchdog_polls_{0};  ///< flushed by the destructor
   bool stop_requested_{false};
 
-  SlotHolder* holder_{nullptr};
+  std::vector<Listed> heap_;
+  /// The one holder that published before the heap was in use, kept out
+  /// of it and unread (see the file comment).
+  SlotHolder* lone_{nullptr};
+  /// Set once the loop has run or a second holder published: from then on
+  /// every publishing holder is listed in the heap.
+  bool hosted_{false};
+  /// The holder running inline from run_root(), else null.
+  SlotHolder* running_{nullptr};
+  /// While running_ runs: a key no later than every other holder's (its
+  /// best other at entry, lowered by publishes during the run).
+  TimePoint others_time_{TimePoint::infinity()};
+  std::uint64_t others_seq_{std::numeric_limits<std::uint64_t>::max()};
+
   /// run_until's bound: events after it wait for the next run.
   TimePoint until_{TimePoint::origin() + Duration::infinity()};
   bool has_horizon_{false};
   TimePoint horizon_time_{};
   std::uint64_t horizon_seq_{0};
-  /// The earlier of (until_, +inf seq) and the horizon, or -inf once a stop
-  /// is requested: comes_first's bound besides the queue head.
+  /// The earliest of (until_, +inf seq), the horizon and the others bound,
+  /// or -inf once a stop is requested: comes_first's bound besides the
+  /// queue head.
   TimePoint bound_time_{TimePoint::origin() + Duration::infinity()};
   std::uint64_t bound_seq_{std::numeric_limits<std::uint64_t>::max()};
 };

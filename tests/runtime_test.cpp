@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "runtime/app_runtime.hpp"
 #include "sim/simulation.hpp"
 #include "util/check.hpp"
@@ -398,6 +401,60 @@ TEST(Runtime, RunUntilStopsTwoRuntimesMidCheckpoint) {
   EXPECT_EQ(finished, 2);
   EXPECT_DOUBLE_EQ(a.result().wall_time.to_seconds(), 118.0);
   EXPECT_DOUBLE_EQ(b.result().wall_time.to_seconds(), 118.0);
+}
+
+// Two runtimes whose phases tie at every instant run in the order their
+// seqs were reserved: the one that reserved first completes first.
+/// The order and times in which runtimes sharing one Simulation complete.
+struct CompletionLog {
+  explicit CompletionLog(Simulation& s) : sim{s} {}
+
+  Simulation& sim;
+  std::string order;
+  std::vector<double> times;
+
+  ResilientAppRuntime::CompletionCallback on(char name) {
+    return [this, name](const ExecutionResult&) {
+      order += name;
+      times.push_back(sim.now().to_seconds());
+    };
+  }
+};
+
+TEST(Runtime, TiedRuntimesCompleteInReservationOrder) {
+  Simulation sim;
+  CompletionLog log{sim};
+  ResilientAppRuntime a{sim, tiny_plan(), 1, log.on('a')};
+  ResilientAppRuntime b{sim, tiny_plan(), 2, log.on('b')};
+  a.start();
+  b.start();
+  sim.run();
+  EXPECT_EQ(log.order, "ab");
+  EXPECT_EQ(log.times, (std::vector<double>{118.0, 118.0}));
+}
+
+TEST(Runtime, FailureDeliveryOrderDecidesTiedRestarts) {
+  // One queued callback at t=5 fails b, then a: b's restart reserves its
+  // seq first, so b now leads every tie. Each loses 5 s of work and pays a
+  // 3 s restart: both complete at 5 + 3 + 118 = 126 s, b first.
+  Simulation sim;
+  CompletionLog log{sim};
+  ResilientAppRuntime a{sim, tiny_plan(), 1, log.on('a')};
+  ResilientAppRuntime b{sim, tiny_plan(), 2, log.on('b')};
+  a.start();
+  b.start();
+  sim.schedule_at(TimePoint::at(Duration::seconds(5.0)), [&] {
+    b.on_failure(Failure{sim.now(), 1});
+    a.on_failure(Failure{sim.now(), 1});
+  });
+  sim.run();
+  EXPECT_EQ(log.order, "ba");
+  EXPECT_EQ(log.times, (std::vector<double>{126.0, 126.0}));
+  for (const ResilientAppRuntime* rt : {&a, &b}) {
+    EXPECT_EQ(rt->result().rollbacks, 1U);
+    EXPECT_DOUBLE_EQ(rt->result().rework.to_seconds(), 5.0);
+    EXPECT_DOUBLE_EQ(rt->result().wall_time.to_seconds(), 126.0);
+  }
 }
 
 TEST(Runtime, StartTwiceThrows) {

@@ -1,4 +1,5 @@
-// Differential oracle test for the event-queue kernel.
+// Differential oracle tests for the event-queue kernel and the Simulation's
+// slot-holder heap.
 //
 // Drives ~1M randomized schedule/cancel/pop/pending operations against the
 // real EventQueue and, in lockstep, a deliberately naive reference model (a
@@ -9,18 +10,27 @@
 // must break by insertion order), cancel-after-fire, stale handles, and
 // cancel storms dense enough to trigger heap compaction.
 //
+// The holder-order test runs one randomized scenario twice: with toy slot
+// holders that keep their events out of the queue, and with every holder
+// event a plain queued event taking its seq at the same moment. The two
+// execution logs must be identical.
+//
 // This test also runs under TSAN (tools/tier1.sh) to shake out undefined
 // behavior in the slab/tag machinery.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace xres {
@@ -199,6 +209,194 @@ TEST(SimOracle, CancelStormsMatchReferenceModel) {
     oracle.live.erase(front);
   }
   EXPECT_TRUE(oracle.live.empty());
+}
+
+// ---- slot holders against the fully queued order ----
+
+/// One run of the holder-order scenario. Toy holders own two slots each
+/// (like a runtime's phase and wall-time cap) and re-arm a slot after it
+/// fires, at delays with many exact ties. Queued storm events re-key or
+/// empty one to three holders in one callback (like a failure burst), and a
+/// firing slot sometimes arms another holder (like a completion whose
+/// mapping starts new jobs). With `queued` set every slot is a plain
+/// queued event instead, scheduled where the holder would reserve its seq.
+class HolderScenario {
+ public:
+  HolderScenario(bool queued, std::uint64_t seed, std::size_t target)
+      : queued_{queued}, rng_{seed}, target_{target} {
+    for (int id = 0; id < kHolders; ++id) holders_.push_back(std::make_unique<Toy>(*this, id));
+  }
+
+  /// The execution log: (event id, time) per executed event, plus markers
+  /// where a run_until or the stopped run() returned.
+  std::vector<std::pair<int, double>> run() {
+    for (int id = 0; id < kHolders; id += 2) {
+      holders_[static_cast<std::size_t>(id)]->arm(0, at(static_cast<double>(id % 3)));
+      holders_[static_cast<std::size_t>(id)]->publish();
+    }
+    sim_.schedule_at(at(0.5), [this] { storm(); });
+    sim_.schedule_at(at(6000.0), [this] {
+      log_.emplace_back(-3, sim_.now().to_seconds());
+      sim_.request_stop();
+    });
+    for (const double until : {1000.0, 1000.0, 2500.0, 4000.0}) {
+      sim_.run_until(at(until));
+      log_.emplace_back(-4, sim_.now().to_seconds());
+    }
+    sim_.run();  // returns at the stop request
+    log_.emplace_back(-5, sim_.now().to_seconds());
+    sim_.run_until(at(9000.0));
+    sim_.run();
+    log_.emplace_back(-6, static_cast<double>(sim_.events_processed()));
+    return std::move(log_);
+  }
+
+ private:
+  static constexpr int kHolders = 8;
+  static TimePoint at(double s) { return TimePoint::at(Duration::seconds(s)); }
+
+  class Toy final : public Simulation::SlotHolder {
+   public:
+    Toy(HolderScenario& scenario, int id) : s_{scenario}, id_{id} {}
+    ~Toy() {
+      for (int k = 0; k < 2; ++k) disarm(k);
+      s_.sim_.withdraw(*this);
+    }
+    Toy(const Toy&) = delete;
+    Toy& operator=(const Toy&) = delete;
+
+    /// (Re)arm slot \p k at \p when, taking one seq either way.
+    void arm(int k, TimePoint when) {
+      disarm(k);
+      Slot& slot = slots_[static_cast<std::size_t>(k)];
+      if (s_.queued_) {
+        slot.event = s_.sim_.schedule_at(when, [this, k] {
+          slots_[static_cast<std::size_t>(k)].armed = false;
+          fire(k);
+        });
+      } else {
+        slot.seq = s_.sim_.reserve_seq();
+        slot.time = when;
+      }
+      slot.armed = true;
+    }
+    void disarm(int k) {
+      Slot& slot = slots_[static_cast<std::size_t>(k)];
+      if (slot.armed && s_.queued_) s_.sim_.cancel(slot.event);
+      slot.armed = false;
+    }
+    [[nodiscard]] bool idle() const { return !slots_[0].armed && !slots_[1].armed; }
+    /// Slots changed outside this holder's own inline run.
+    void publish() {
+      if (!s_.queued_) s_.sim_.publish(*this);
+    }
+
+    void run_inline() override {
+      TimePoint when{};
+      std::uint64_t seq{0};
+      while (earliest_held(when, seq) && s_.sim_.comes_first(when, seq)) {
+        const int k = slots_[0].armed && slots_[0].seq == seq ? 0 : 1;
+        s_.sim_.advance(when);
+        slots_[static_cast<std::size_t>(k)].armed = false;
+        fire(k);
+      }
+    }
+    bool earliest_held(TimePoint& when, std::uint64_t& seq) const override {
+      const Slot* best = nullptr;
+      for (const Slot& slot : slots_) {
+        if (slot.armed && (best == nullptr || slot.time < best->time ||
+                           (slot.time == best->time && slot.seq < best->seq))) {
+          best = &slot;
+        }
+      }
+      if (best == nullptr) return false;
+      when = best->time;
+      seq = best->seq;
+      return true;
+    }
+    void held_seqs(std::vector<std::uint64_t*>& out) override {
+      for (Slot& slot : slots_) {
+        if (slot.armed) out.push_back(&slot.seq);
+      }
+    }
+
+   private:
+    struct Slot {
+      bool armed{false};
+      TimePoint time{};
+      std::uint64_t seq{0};
+      EventId event{};
+    };
+
+    void fire(int k) {
+      s_.log_.emplace_back(2 * id_ + k, s_.sim_.now().to_seconds());
+      if (!s_.live()) return;
+      if (s_.rng_.bernoulli(0.9)) arm(k, s_.later());
+      if (s_.rng_.bernoulli(0.05)) {
+        // Arm another holder: it must be seen by the rest of this run.
+        Toy& other = s_.pick();
+        if (&other != this) {
+          other.arm(other.idle() ? 0 : 1, s_.later());
+          other.publish();
+        }
+      }
+    }
+
+    HolderScenario& s_;
+    int id_;
+    std::array<Slot, 2> slots_{};
+  };
+
+  [[nodiscard]] bool live() const { return log_.size() < target_; }
+  Toy& pick() { return *holders_[rng_.next_below(kHolders)]; }
+  /// now + a delay with many exact ties: 0 or 1-4 whole seconds, or a
+  /// fraction.
+  TimePoint later() {
+    const double r = rng_.next_double();
+    const double delay = r < 0.1   ? 0.0
+                         : r < 0.7 ? static_cast<double>(rng_.uniform_int(1, 4))
+                                   : rng_.uniform(0.0, 4.0);
+    return sim_.now() + Duration::seconds(delay);
+  }
+
+  /// A queued burst: re-key or empty one to three holders in one callback.
+  void storm() {
+    log_.emplace_back(-1, sim_.now().to_seconds());
+    if (!live()) return;
+    const auto count = rng_.uniform_int(1, 3);
+    for (std::int64_t i = 0; i < count; ++i) {
+      Toy& toy = pick();
+      const double r = rng_.next_double();
+      if (r < 0.2) {
+        toy.disarm(0);
+        toy.disarm(1);
+      } else {
+        toy.arm(r < 0.6 ? 0 : 1, later());
+      }
+      toy.publish();
+    }
+    sim_.schedule_at(later(), [this] { storm(); });
+  }
+
+  bool queued_;
+  Pcg32 rng_;
+  std::size_t target_;
+  Simulation sim_;
+  std::vector<std::pair<int, double>> log_;
+  std::vector<std::unique_ptr<Toy>> holders_;
+};
+
+TEST(SimOracle, SlotHoldersRunInFullyQueuedOrder) {
+  for (const std::uint64_t seed : {5U, 6U}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto held = HolderScenario{false, seed, 120000}.run();
+    const auto queued = HolderScenario{true, seed, 120000}.run();
+    ASSERT_GE(queued.size(), 100000U);
+    for (std::size_t i = 0; i < std::min(held.size(), queued.size()); ++i) {
+      ASSERT_EQ(held[i], queued[i]) << "first divergence at entry " << i;
+    }
+    ASSERT_EQ(held.size(), queued.size());
+  }
 }
 
 }  // namespace

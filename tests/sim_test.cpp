@@ -130,16 +130,19 @@ TEST(EventQueue, StaleIdStaysDeadAcrossSlotReuse) {
 
 TEST(EventQueue, RenumberKeepsReservedSeqsInOrder) {
   // A seq reserved for an event held outside the queue keeps its place
-  // among the queued events' when the counter is renumbered, and parks
-  // under it afterwards.
+  // among the queued events' when the counter is renumbered, and orders
+  // against them under it afterwards. A second copy of it (a holder's key
+  // next to its held seq) gets the same rank.
   EventQueue q;
   std::string log;
   q.schedule(at(1.0), [&] { log += 'a'; });
   std::uint64_t held = q.reserve_seq();
+  std::uint64_t key = held;
   q.schedule(at(1.0), [&] { log += 'c'; });
-  std::uint64_t* const reserved[] = {&held};
+  std::uint64_t* const reserved[] = {&key, &held};
   q.renumber_seqs(reserved);
   EXPECT_EQ(held, 1U);
+  EXPECT_EQ(key, 1U);
   q.schedule(at(1.0), [&] { log += 'd'; });
   q.schedule_reserved(at(1.0), held, [&] { log += 'b'; });
   while (auto e = q.pop()) e->callback();

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/workload_engine.hpp"
+#include "core/workload_record.hpp"
 #include "core/workload_study.hpp"
+#include "obs/json.hpp"
 #include "util/check.hpp"
 
 namespace xres {
@@ -278,6 +284,80 @@ TEST(WorkloadStudy, RunsCombosOverSharedPatterns) {
   // same patterns (statistically; exact with shared arrival patterns and
   // no failures in baseline).
   EXPECT_LE(results[0].dropped_fraction.mean, results[1].dropped_fraction.mean + 1e-9);
+}
+
+/// A pattern run's whole result as its journal record, for byte compares.
+std::string record_of(const WorkloadRunResult& r) {
+  obs::JsonWriter w;
+  write_result(w, r);
+  return w.str();
+}
+
+TEST(WorkloadStudy, SharedPlanCacheMatchesPrivateCaches) {
+  const ArrivalPattern pattern = generate_pattern(small_workload(), 42, 0);
+  WorkloadEngineConfig config;
+  config.machine = small_machine();
+  config.resilience.node_mtbf = Duration::years(1.0);
+  config.seed = 7;
+  WorkloadPlanCache shared{config.machine, config.resilience};
+  const std::vector<TechniquePolicy> policies{
+      TechniquePolicy::fixed_technique(TechniqueKind::kMultilevel),
+      TechniquePolicy::selection()};
+  for (const TechniquePolicy& policy : policies) {
+    for (const SchedulerKind scheduler : {SchedulerKind::kRandom, SchedulerKind::kSlack}) {
+      config.policy = policy;
+      config.scheduler = scheduler;
+      config.plans = nullptr;
+      const std::string alone = record_of(run_workload(config, pattern));
+      config.plans = &shared;
+      EXPECT_EQ(record_of(run_workload(config, pattern)), alone)
+          << policy.name() << " / " << to_string(scheduler);
+    }
+  }
+  // Random attempts every job at its arrival, so every (policy, spec) was
+  // requested; the cache holds one plan per distinct key.
+  std::vector<AppSpec> distinct;
+  for (const Job& job : pattern.jobs) {
+    if (std::find(distinct.begin(), distinct.end(), job.spec) == distinct.end()) {
+      distinct.push_back(job.spec);
+    }
+  }
+  ASSERT_LT(distinct.size(), pattern.jobs.size());  // the pattern repeats specs
+  EXPECT_EQ(shared.size(), policies.size() * distinct.size());
+}
+
+TEST(WorkloadStudy, PlanCacheRejectsAnotherMachine) {
+  WorkloadEngineConfig config;
+  config.machine = small_machine();
+  WorkloadPlanCache other{MachineSpec::testbed(2000), config.resilience};
+  config.plans = &other;
+  EXPECT_THROW((void)run_workload(config, generate_pattern(small_workload(), 42, 0)),
+               CheckError);
+}
+
+TEST(WorkloadStudy, ThreadCountDoesNotChangeResults) {
+  WorkloadStudyConfig study;
+  study.machine = small_machine();
+  study.workload = small_workload();
+  study.patterns = 4;
+  study.resilience.node_mtbf = Duration::years(1.0);
+  study.collect_metrics = true;
+  const std::vector<WorkloadCombo> combos{
+      WorkloadCombo{SchedulerKind::kRandom,
+                    TechniquePolicy::fixed_technique(TechniqueKind::kMultilevel)},
+      WorkloadCombo{SchedulerKind::kSlack,
+                    TechniquePolicy::fixed_technique(TechniqueKind::kMultilevel)},
+      WorkloadCombo{SchedulerKind::kRandom, TechniquePolicy::selection()},
+      WorkloadCombo{SchedulerKind::kSlack, TechniquePolicy::selection()}};
+  std::vector<std::string> outputs;
+  for (const unsigned threads : {1U, 4U}) {
+    study.threads = threads;
+    const auto results = run_workload_study(study, combos);
+    std::string out = workload_results_table(results).to_text();
+    for (const WorkloadComboResult& r : results) out += r.metrics->to_json();
+    outputs.push_back(std::move(out));
+  }
+  EXPECT_EQ(outputs[0], outputs[1]);
 }
 
 TEST(WorkloadStudy, ComboSetsMatchPaperFigures) {

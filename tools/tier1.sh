@@ -44,7 +44,7 @@ cmake -B "$TSAN_BUILD" -S . -DXRES_TSAN=ON \
 cmake --build "$TSAN_BUILD" -j "$(nproc)"
 stage_done tsan-build
 ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-  -R "TrialExecutor|Integration|Obs|SimOracle|Surrogate|ForEachControlled|ControlledRunBatch|ShutdownTest|JournaledWorkloadStudy"
+  -R "TrialExecutor|Integration|Obs|SimOracle|Surrogate|ForEachControlled|ControlledRunBatch|ShutdownTest|WorkloadStudy"
 stage_done tsan-ctest
 
 # Observability smoke under TSAN: a threaded study with per-trial metrics
@@ -139,17 +139,20 @@ determinism_check() {
   cmp "$dir/r1a-clean.txt" "$dir/r4-clean.txt"
   cmp "$dir/m1a.json" "$dir/m4.json"
 
-  # The workload engine, in Resilience Selection mode where both the
-  # per-job plan memo and the inline phase dispatch run: threads 1 vs 4.
-  local wargs=(run fig5_resilience_selection --set patterns=1)
-  "$BUILD"/tools/xres "${wargs[@]}" --threads 1 --metrics "$dir/w1.json" > "$dir/w1.txt"
-  "$BUILD"/tools/xres "${wargs[@]}" --threads 4 --metrics "$dir/w4.json" > "$dir/w4.txt"
-  local wfilter=(grep -v -e 'phases:' -e '^metrics written to ')
-  "${wfilter[@]}" "$dir/w1.txt" > "$dir/w1-clean.txt"
-  "${wfilter[@]}" "$dir/w4.txt" > "$dir/w4-clean.txt"
-  cmp "$dir/w1-clean.txt" "$dir/w4-clean.txt"
-  cmp "$dir/w1.json" "$dir/w4.json"
-  echo "determinism: OK (repeat + threads 1 vs 4 byte-identical, single-app and workload)"
+  # The workload engine through the study's shared plan cache, with the
+  # runtimes in the holder heap: the fixed-technique combos (multilevel
+  # plans included) and Resilience Selection, threads 1 vs 4.
+  local study wfilter=(grep -v -e 'phases:' -e '^metrics written to ')
+  for study in fig4_resource_management fig5_resilience_selection; do
+    local wargs=(run "$study" --set patterns=1)
+    "$BUILD"/tools/xres "${wargs[@]}" --threads 1 --metrics "$dir/w1.json" > "$dir/w1.txt"
+    "$BUILD"/tools/xres "${wargs[@]}" --threads 4 --metrics "$dir/w4.json" > "$dir/w4.txt"
+    "${wfilter[@]}" "$dir/w1.txt" > "$dir/w1-clean.txt"
+    "${wfilter[@]}" "$dir/w4.txt" > "$dir/w4-clean.txt"
+    cmp "$dir/w1-clean.txt" "$dir/w4-clean.txt"
+    cmp "$dir/w1.json" "$dir/w4.json"
+  done
+  echo "determinism: OK (repeat + threads 1 vs 4 byte-identical, single-app, fig4 and fig5)"
 }
 determinism_check
 stage_done determinism
