@@ -14,6 +14,7 @@ struct GlobalCounters {
   std::atomic<std::uint64_t> events_scheduled{0};
   std::atomic<std::uint64_t> events_popped{0};
   std::atomic<std::uint64_t> events_executed{0};
+  std::atomic<std::uint64_t> holder_runs{0};
   std::atomic<std::uint64_t> events_cancelled{0};
   std::atomic<std::uint64_t> heap_compactions{0};
   std::atomic<std::uint64_t> watchdog_polls{0};
@@ -41,8 +42,10 @@ void perf_add_engine(std::uint64_t scheduled, std::uint64_t popped,
   if (compactions != 0) g_counters.heap_compactions.fetch_add(compactions, kRelaxed);
 }
 
-void perf_add_simulation(std::uint64_t events, std::uint64_t polls) {
+void perf_add_simulation(std::uint64_t events, std::uint64_t holder_runs,
+                         std::uint64_t polls) {
   if (events != 0) g_counters.events_executed.fetch_add(events, kRelaxed);
+  if (holder_runs != 0) g_counters.holder_runs.fetch_add(holder_runs, kRelaxed);
   if (polls != 0) g_counters.watchdog_polls.fetch_add(polls, kRelaxed);
 }
 
@@ -74,6 +77,7 @@ PerfCounters perf_snapshot() {
   out.events_scheduled = g_counters.events_scheduled.load(kRelaxed);
   out.events_popped = g_counters.events_popped.load(kRelaxed);
   out.events_executed = g_counters.events_executed.load(kRelaxed);
+  out.holder_runs = g_counters.holder_runs.load(kRelaxed);
   out.events_cancelled = g_counters.events_cancelled.load(kRelaxed);
   out.heap_compactions = g_counters.heap_compactions.load(kRelaxed);
   out.watchdog_polls = g_counters.watchdog_polls.load(kRelaxed);
@@ -94,6 +98,7 @@ PerfCounters perf_delta(const PerfCounters& since) {
   out.events_scheduled = now.events_scheduled - since.events_scheduled;
   out.events_popped = now.events_popped - since.events_popped;
   out.events_executed = now.events_executed - since.events_executed;
+  out.holder_runs = now.holder_runs - since.holder_runs;
   out.events_cancelled = now.events_cancelled - since.events_cancelled;
   out.heap_compactions = now.heap_compactions - since.heap_compactions;
   out.watchdog_polls = now.watchdog_polls - since.watchdog_polls;
@@ -115,6 +120,7 @@ std::vector<std::pair<std::string, std::uint64_t>> perf_counter_items(
       {"events_scheduled", counters.events_scheduled},
       {"events_popped", counters.events_popped},
       {"events_executed", counters.events_executed},
+      {"holder_runs", counters.holder_runs},
       {"events_cancelled", counters.events_cancelled},
       {"heap_compactions", counters.heap_compactions},
       {"watchdog_polls", counters.watchdog_polls},

@@ -28,6 +28,11 @@ struct PerfCounters {
   /// Simulation events executed, popped from the queue or dispatched
   /// directly: Simulation::events_processed() summed over every simulation.
   std::uint64_t events_executed{0};
+  /// Slot-holder runs of the Simulation loop: exact-step inline runs plus
+  /// lookahead-window slices (sim/simulation.hpp). events_executed divided
+  /// by it is the mean run length. A single-app trial's lone holder, which
+  /// the trial loop runs directly, is not counted.
+  std::uint64_t holder_runs{0};
   std::uint64_t events_cancelled{0};
   std::uint64_t heap_compactions{0};
   std::uint64_t watchdog_polls{0};
@@ -51,9 +56,10 @@ struct PerfCounters {
 void perf_add_engine(std::uint64_t scheduled, std::uint64_t popped,
                      std::uint64_t cancelled, std::uint64_t compactions);
 
-/// Flush one simulation's executed-event and watchdog-poll tallies (called
-/// from ~Simulation).
-void perf_add_simulation(std::uint64_t events, std::uint64_t polls);
+/// Flush one simulation's executed-event, holder-run and watchdog-poll
+/// tallies (called from ~Simulation).
+void perf_add_simulation(std::uint64_t events, std::uint64_t holder_runs,
+                         std::uint64_t polls);
 
 /// Count one journal fsync batch (called at each successful flush_to_disk).
 void perf_add_journal_fsync();

@@ -95,6 +95,7 @@ void ResilientAppRuntime::start() {
     singles_ = plan_.app.nodes - duplicated;
   }
 
+  if (obs_ == nullptr && pfs_device_ == nullptr) enable_lookahead();
   if (plan_.max_wall_time.is_finite()) {
     hold(timeout_slot_, sim_.now() + plan_.max_wall_time);
     sim_.publish(*this);  // before the next reservation (Simulation::reserve_seq)
@@ -162,9 +163,66 @@ bool ResilientAppRuntime::earliest_held(TimePoint& when, std::uint64_t& seq) con
   return true;
 }
 
-void ResilientAppRuntime::held_seqs(std::vector<std::uint64_t*>& out) {
-  if (phase_slot_.state == Pending::kHeld) out.push_back(&phase_slot_.seq);
-  if (timeout_slot_.state == Pending::kHeld) out.push_back(&timeout_slot_.seq);
+void ResilientAppRuntime::held_keys(std::vector<HeldKey>& out) {
+  if (phase_slot_.state == Pending::kHeld) out.push_back({phase_slot_.time, &phase_slot_.seq});
+  if (timeout_slot_.state == Pending::kHeld) {
+    out.push_back({timeout_slot_.time, &timeout_slot_.seq});
+  }
+}
+
+Duration ResilientAppRuntime::progress_after_phase() const {
+  switch (phase_) {
+    case Phase::kWorking: return phase_arg_;  // on_segment_done
+    case Phase::kCheckpointing:                // on_checkpoint_done
+      return std::min(progress_ + (phase_slot_.time - phase_start_) * plan_.checkpoint_work_rate,
+                      plan_.work_target);
+    default: return progress_;  // restart and recovery do no work
+  }
+}
+
+TimePoint ResilientAppRuntime::quiet_until() const {
+  // Reads the slots itself: as a further caller of earliest_held() it made
+  // the optimizer stop inlining that into run_inline(), which cost the
+  // exact path about 4% per event. The cap interacts, and fires first at
+  // a tie: its seq is the older.
+  const bool capped = timeout_slot_.state == Pending::kHeld;
+  if (phase_slot_.state != Pending::kHeld) {
+    return capped ? timeout_slot_.time : TimePoint::infinity();
+  }
+  const TimePoint key = phase_slot_.time;
+  if (capped && timeout_slot_.time <= key) return timeout_slot_.time;
+  if (obs_ != nullptr || pfs_device_ != nullptr) return key;
+  const Duration after = progress_after_phase();
+  if (after >= plan_.work_target) return key;
+  // Without outside input the run completes through a chain of phases,
+  // each ending at t + length rounded to the nearest double. Per phase the
+  // time gained falls short of the work gained by at most two ulps of the
+  // completion time C (the rounding of that addition, and of the work
+  // arithmetic: a segment's target - progress, a checkpoint's progress +
+  // elapsed x rate), and 2 ulp(C) <= 2^-51 C. Over n phases C >= (key +
+  // rest) / (1 + n 2^-51) >= key + rest - 2^-20 (key + rest) for n <= 2^31,
+  // far more phases than any run simulates. Restart and recovery gain no
+  // work and, with lengths >= 0, lose no time.
+  const Duration rest = plan_.work_target - after;
+  const Duration margin = (key.since_origin() + rest) * 0x1p-20;
+  TimePoint bound = std::max(key, key + (rest - margin));
+  if (capped && timeout_slot_.time < bound) bound = timeout_slot_.time;
+  return bound;
+}
+
+void ResilientAppRuntime::run_private(TimePoint bound) {
+  // Strictly before the cap too: at a tie the cap (interacting) is first.
+  // The cap stays put while phases are private (only the run's end
+  // cancels it).
+  if (timeout_slot_.state == Pending::kHeld && timeout_slot_.time < bound) {
+    bound = timeout_slot_.time;
+  }
+  while (phase_slot_.state == Pending::kHeld && phase_slot_.time < bound &&
+         progress_after_phase() < plan_.work_target) {
+    sim_.advance_private(phase_slot_.time);
+    phase_slot_.state = Pending::kNone;
+    dispatch_phase();
+  }
 }
 
 void ResilientAppRuntime::cancel(Slot& slot) {
@@ -412,6 +470,7 @@ void ResilientAppRuntime::check_time_closure() const {
 }
 
 void ResilientAppRuntime::complete() {
+  XRES_CHECK(sim_.now() >= quiet_bound(), "the run completed before its quiet_until()");
   cancel(phase_slot_);
   cancel(timeout_slot_);
   phase_ = Phase::kDone;
@@ -430,6 +489,7 @@ void ResilientAppRuntime::complete() {
 
 void ResilientAppRuntime::dispatch_timeout() {
   if (finished()) return;
+  XRES_CHECK(sim_.now() >= quiet_bound(), "the wall-time cap fired before its quiet_until()");
   accrue(sim_.now() - phase_start_);
   cancel(phase_slot_);
   phase_ = Phase::kAborted;

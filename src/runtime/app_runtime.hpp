@@ -30,6 +30,16 @@
 /// a device transfer instead. Progress is measured in stretched-work
 /// seconds against plan.work_target; a per-level ledger records the
 /// progress captured by the last completed checkpoint of each level.
+///
+/// Lookahead. A runtime with neither an observer nor a PFS device declares
+/// private events: a phase completion that neither completes the run nor
+/// begins a PFS transfer touches only the runtime. The completion and the
+/// wall-time cap interact (they call back into the workload), and so does
+/// every event of an observed runtime (its metrics sum in global event
+/// order) or of one sharing a device (a transfer changes other runtimes'
+/// rates). quiet_until() bounds the completion from below by the stretched
+/// work left, and the Simulation's lookahead windows run private phases in
+/// run_private() up to the earliest such bound of any runtime.
 
 #include <cstdint>
 #include <functional>
@@ -129,7 +139,17 @@ class ResilientAppRuntime final : public Simulation::SlotHolder {
   void run_inline() override;
 
   bool earliest_held(TimePoint& when, std::uint64_t& seq) const override;
-  void held_seqs(std::vector<std::uint64_t*>& out) override;
+  void held_keys(std::vector<HeldKey>& out) override;
+
+  /// The key time when the next event interacts (or the runtime does not
+  /// look ahead); otherwise the earlier of the cap and the key time plus
+  /// the stretched work left after the key event, less a rounding margin:
+  /// no phase advances work faster than one stretched second per second.
+  [[nodiscard]] TimePoint quiet_until() const override;
+
+  /// Dispatch private phase completions strictly before \p bound and the
+  /// cap (see the file comment).
+  void run_private(TimePoint bound) override;
 
  private:
   /// Where a pending event lives: held in the runtime's slot, or (a phase
@@ -150,6 +170,10 @@ class ResilientAppRuntime final : public Simulation::SlotHolder {
 
   /// Fire the wall-time cap, after the caller cleared its slot.
   void dispatch_timeout();
+
+  /// Progress once the held phase completes, by its handler's own
+  /// arithmetic; the run completes there when it reaches the work target.
+  [[nodiscard]] Duration progress_after_phase() const;
 
   /// Hold an event at \p when in \p slot under a freshly reserved seq.
   void hold(Slot& slot, TimePoint when) {

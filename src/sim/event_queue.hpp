@@ -91,6 +91,13 @@ class EventQueue {
   /// knowing of none.
   std::uint64_t reserve_seq() { return next_seq_++; }
 
+  /// The seq the next reserve_seq() returns.
+  [[nodiscard]] std::uint64_t peek_seq() const { return next_seq_; }
+
+  /// Hand out the seqs from \p seq (at most peek_seq()) again: the caller
+  /// holds none of them any more, and none is queued.
+  void rewind_seqs(std::uint64_t seq) { next_seq_ = seq; }
+
   /// Schedule \p callback at \p when under \p seq, a seq from reserve_seq()
   /// that nothing else was scheduled under.
   EventId schedule_reserved(TimePoint when, std::uint64_t seq, EventCallback callback);

@@ -13,12 +13,32 @@
 /// events out of the queue, in slots of its own, each under an insertion
 /// seq reserved from the queue's one counter. The Simulation keeps every
 /// holder that holds an event in a small min-heap keyed by the (time, seq)
-/// of its earliest held event, and its loop runs whichever comes first:
-/// the queue head's callback, or the root holder, which dispatches its
-/// events inline while each comes before the queue head, the best other
-/// holder, run_until's bound and the caller's horizon, with no stop
-/// requested. The executed order is the one a queue holding every event
-/// would give, tie-breaks included.
+/// of its earliest held event. Its loop alternates two steps:
+///
+///  * a lookahead window, while a holder that declared private events is
+///    listed. An event is private when its dispatch touches only its own
+///    holder (it schedules, publishes and stops nothing); every other one
+///    interacts. Each listed holder bounds its next interacting event from
+///    below with quiet_until(). The window's bound E is the earliest of the
+///    queue head, run_until's bound and every listed holder's
+///    quiet_until(), and every holder runs its private events strictly
+///    before E, back to back, each from the committed clock (the last exact
+///    event's time). Everything left after the window, queued or held,
+///    comes at or after E, so the window's events are exactly the next
+///    ones the fully queued order would run, in some interleaving that
+///    changes no holder's state. Only their seq reservations would differ:
+///    the keys reserved in the window are then given fresh seqs in the
+///    fully queued counter order (resequence_window() has the rule);
+///  * an exact step: the queue head's callback, or the root holder, which
+///    dispatches its events inline while each comes before the queue head,
+///    the best other holder, run_until's bound and the caller's horizon,
+///    with no stop requested.
+///
+/// The executed order is the one a queue holding every event would give,
+/// tie-breaks included, up to the interleaving of private events inside a
+/// window. A Simulation whose listed holders declare no private events
+/// (observed runtimes, runtimes sharing a PFS device, single-app trials)
+/// never opens a window and pays one counter test per step for it.
 ///
 /// A holder publishes (the Simulation re-reads its key) whenever its slots
 /// change outside its own inline run; the loop re-reads the key when that
@@ -42,26 +62,59 @@ class Simulation {
   /// A component holding its next events in slots of its own (see above).
   class SlotHolder {
    public:
+    /// A held event: its time and its seq, which renumbering and window
+    /// re-sequencing rewrite in place.
+    struct HeldKey {
+      TimePoint time;
+      std::uint64_t* seq;
+    };
+
     /// Dispatch held events inline, in (time, seq) order, while each
     /// comes_first(). The Simulation loop runs the root holder; the
     /// single-app trial driver runs its lone holder directly.
     virtual void run_inline() = 0;
     /// The (time, seq) of the earliest held event; false when none is held.
     virtual bool earliest_held(TimePoint& when, std::uint64_t& seq) const = 0;
-    /// Append pointers to the held events' seqs (renumbering rewrites them).
-    virtual void held_seqs(std::vector<std::uint64_t*>& out) = 0;
+    /// Append every held event's key.
+    virtual void held_keys(std::vector<HeldKey>& out) = 0;
+
+    /// A lower bound on the time of the next interacting event, assuming no
+    /// outside input (input reaches a holder only in exact steps, and the
+    /// holder publishes after it). The default, the key time, never lets a
+    /// window pass this holder's next event.
+    [[nodiscard]] virtual TimePoint quiet_until() const {
+      TimePoint when{TimePoint::infinity()};
+      std::uint64_t seq{0};
+      earliest_held(when, seq);
+      return when;
+    }
+    /// Dispatch held private events strictly before \p bound, each through
+    /// Simulation::advance_private(), and stop at the first interacting
+    /// one. A private event reserves at most one seq, for the event it
+    /// holds, and while private events continue that event is the next to
+    /// run. Called only when the key precedes \p bound, which the default
+    /// quiet_until() rules out.
+    virtual void run_private(TimePoint bound) { (void)bound; }
 
    protected:
     ~SlotHolder() = default;
+    /// Declare private events (run_private, quiet_until): before the
+    /// holder first publishes. Windows run while such a holder is listed.
+    void enable_lookahead() { looks_ahead_ = true; }
+    /// The last quiet_until() a window used for this holder since it last
+    /// published, else -inf: no interacting event may fire before it.
+    [[nodiscard]] TimePoint quiet_bound() const { return quiet_used_; }
 
    private:
     friend class Simulation;
     bool listed_{false};  ///< in the Simulation's holder heap
+    bool looks_ahead_{false};
+    TimePoint quiet_used_{TimePoint::origin() - Duration::infinity()};
   };
 
   Simulation() = default;
-  /// Flushes the executed-event and watchdog-poll tallies into the
-  /// process-global perf counters.
+  /// Flushes the executed-event, holder-run and watchdog-poll tallies into
+  /// the process-global perf counters.
   ~Simulation();
 
   // The engine hands out raw pointers/references to itself; moving it would
@@ -86,8 +139,9 @@ class Simulation {
 
   /// Run until no event is left or request_stop() is called. \p max_events
   /// guards against runaway models (0 = unlimited); it is checked before
-  /// each queue pop or holder run, so a holder's inline run that crosses it
-  /// finishes first.
+  /// each round of the loop (a window, then an exact step), so a round that
+  /// crosses it finishes first: a window can overshoot the guard by all its
+  /// private events.
   void run(std::uint64_t max_events = 0);
 
   /// Execute all events with time <= \p until, then advance the clock to
@@ -97,8 +151,8 @@ class Simulation {
   /// Reserve the next insertion seq for an event a holder keeps in a slot.
   /// Renumbering (every 2^32 seqs, possibly inside this call) rewrites the
   /// held seqs of the lone holder and the listed ones only (a running
-  /// holder is either), so outside its inline run a holder publishes
-  /// between two reservations.
+  /// holder is either), so outside its inline run or window a holder
+  /// publishes between two reservations.
   std::uint64_t reserve_seq() { return next_seq(); }
 
   /// \p holder's slots changed outside its own inline run: re-read its key.
@@ -166,6 +220,12 @@ class Simulation {
     now_ = when;
     ++events_processed_;
   }
+  /// advance() for a private event in a lookahead window: also records its
+  /// time in the running holder's window history.
+  void advance_private(TimePoint when) {
+    advance(when);
+    window_times_.push_back(when);
+  }
 
   /// Ask run()/run_until() and inline dispatch to return after the current
   /// event completes.
@@ -197,12 +257,17 @@ class Simulation {
   void run_root();
   /// Pop and execute the next queued event; false when none is left.
   bool execute_next();
+  /// The lookahead window (see the file comment), then the re-sequencing
+  /// of the keys it reserved and the heap rebuild.
+  void run_window();
+  void resequence_window();
   std::uint64_t next_seq() {
     if (queue_.seqs_exhausted()) renumber();
     return queue_.reserve_seq();
   }
   /// Renumber the queue's seqs together with every reserved one held
-  /// outside it (holders' slots and keys, the horizon, the others bound).
+  /// outside it (holders' slots and keys, the horizon, the others bound,
+  /// and inside a window its first seq).
   void renumber();
   void update_bound() {
     bound_time_ = stop_requested_ ? TimePoint::origin() - Duration::infinity() : until_;
@@ -245,6 +310,7 @@ class Simulation {
   TimePoint now_{TimePoint::origin()};
   std::uint64_t events_processed_{0};
   std::uint64_t watchdog_polls_{0};  ///< flushed by the destructor
+  std::uint64_t holder_runs_{0};     ///< exact-step runs and window slices
   bool stop_requested_{false};
 
   std::vector<Listed> heap_;
@@ -254,6 +320,28 @@ class Simulation {
   /// Set once the loop has run or a second holder published: from then on
   /// every publishing holder is listed in the heap.
   bool hosted_{false};
+  /// Listed holders that enable_lookahead(): windows run while nonzero.
+  std::size_t lookahead_listed_{0};
+
+  // ---- the lookahead window (run_window) ----
+  /// One holder's run in the window: its heap position (whose key, left
+  /// as it was until the rebuild, is the holder's pre-window key), its
+  /// history (the times of its window events, window_times_[begin, end))
+  /// and the one key its last event reserved, if still held.
+  struct Slice {
+    std::size_t pos;
+    std::size_t begin;
+    std::size_t end;
+    TimePoint fresh_time{};
+    std::uint64_t* fresh{nullptr};
+  };
+  std::vector<Slice> slices_;
+  std::vector<TimePoint> window_times_;
+  std::vector<SlotHolder::HeldKey> held_buffer_;
+  /// Inside a window: its first seq. Every seq from it on was reserved in
+  /// the window.
+  bool in_window_{false};
+  std::uint64_t window_first_seq_{0};
   /// The holder running inline from run_root(), else null.
   SlotHolder* running_{nullptr};
   /// While running_ runs: a key no later than every other holder's (its

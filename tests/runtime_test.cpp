@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/app_runtime.hpp"
@@ -66,6 +68,41 @@ TEST(Runtime, FailureFreeTimelineIsExact) {
   EXPECT_EQ(h.result.failures_seen, 0U);
   // Energy: 10 nodes busy for the whole 118 s.
   EXPECT_DOUBLE_EQ(h.result.node_seconds, 1180.0);
+}
+
+TEST(Runtime, CoincidentCompletionsFollowReservationHistory) {
+  // Four runtimes started at t=0 in the order A, B, C, D all complete at
+  // t=118. A and D run tiny_plan (ten 10 s segments, 2 s checkpoints).
+  // B: 44 s, a 30 s checkpoint, 44 s. C: three 32 s segments with 4 s
+  // checkpoints, then 10 s. At a tie the completion whose final segment was
+  // reserved first runs first: B's at t=74; C's and A's both at t=108, by
+  // checkpoint ends whose own seqs were reserved at t=104 (C) and t=106
+  // (A); D's at t=108 after A's (twins keep their start order).
+  const auto plan = [](double work, double quantum, double save) {
+    ExecutionPlan p = tiny_plan();
+    p.baseline = Duration::seconds(work);
+    p.work_target = Duration::seconds(work);
+    p.checkpoint_quantum = Duration::seconds(quantum);
+    p.levels = {CheckpointLevelSpec{Duration::seconds(save), Duration::seconds(3.0), 3}};
+    return p;
+  };
+  Simulation sim;
+  std::vector<char> finished;
+  std::vector<std::unique_ptr<ResilientAppRuntime>> runtimes;
+  const std::vector<std::pair<char, ExecutionPlan>> plans{
+      {'A', plan(100.0, 10.0, 2.0)}, {'B', plan(88.0, 44.0, 30.0)},
+      {'C', plan(106.0, 32.0, 4.0)}, {'D', plan(100.0, 10.0, 2.0)}};
+  for (const auto& [name, p] : plans) {
+    runtimes.push_back(std::make_unique<ResilientAppRuntime>(
+        sim, p, 1, [&finished, &sim, name = name](const ExecutionResult& r) {
+          EXPECT_TRUE(r.completed);
+          EXPECT_EQ(sim.now().to_seconds(), 118.0);
+          finished.push_back(name);
+        }));
+  }
+  for (auto& rt : runtimes) rt->start();
+  sim.run();
+  EXPECT_EQ(std::string(finished.begin(), finished.end()), "BCAD");
 }
 
 TEST(Runtime, NoneplanRunsAtFullEfficiency) {

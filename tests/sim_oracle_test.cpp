@@ -13,7 +13,11 @@
 // The holder-order test runs one randomized scenario twice: with toy slot
 // holders that keep their events out of the queue, and with every holder
 // event a plain queued event taking its seq at the same moment. The two
-// execution logs must be identical.
+// execution logs must be identical. The window test does the same with toy
+// holders that declare private events and a quiet_until(), so the
+// Simulation runs them in lookahead windows: private events then run in
+// another interleaving, so each holder's own log, the log of interacting
+// events and the holders' event counts at those must match instead.
 //
 // This test also runs under TSAN (tools/tier1.sh) to shake out undefined
 // behavior in the slab/tag machinery.
@@ -25,10 +29,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "obs/perf.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
@@ -314,9 +320,9 @@ class HolderScenario {
       seq = best->seq;
       return true;
     }
-    void held_seqs(std::vector<std::uint64_t*>& out) override {
+    void held_keys(std::vector<HeldKey>& out) override {
       for (Slot& slot : slots_) {
-        if (slot.armed) out.push_back(&slot.seq);
+        if (slot.armed) out.push_back({slot.time, &slot.seq});
       }
     }
 
@@ -396,6 +402,357 @@ TEST(SimOracle, SlotHoldersRunInFullyQueuedOrder) {
       ASSERT_EQ(held[i], queued[i]) << "first divergence at entry " << i;
     }
     ASSERT_EQ(held.size(), queued.size());
+  }
+}
+
+// ---- lookahead windows against the fully queued order ----
+
+/// One run of the window scenario. Twelve toy runtimes work through a
+/// budget of whole work units in phases drawn from a stream of their own
+/// (its own generator, seeded when a job begins): a phase takes at least as
+/// many seconds as it does units, in quarter seconds, zero-unit zero-second
+/// phases included. A phase that leaves work is private; the one that ends
+/// the budget (a completion) and a second "alarm" slot interact, using the
+/// scenario's shared generator: a completion may begin a new job or arm
+/// another toy's alarm, an alarm may re-arm itself, cut its own phase or
+/// re-key it. Toys 0-3 bound their next interacting event exactly (by
+/// replaying their stream), toys 4-7 loosely (the key time plus the work
+/// left), toys 8-11 not at all. Queued storms re-key or cancel one to three
+/// toys (like a failure burst) and queued launches begin a pair of idle
+/// toys of one class as twins (the same job, begun back to back). With
+/// `queued` set every slot is a plain queued event instead, scheduled where
+/// the toy would reserve its seq.
+class WindowScenario {
+ public:
+  struct Logs {
+    /// Per toy: (slot, time) of every executed event.
+    std::vector<std::vector<std::pair<int, double>>> holders;
+    /// (toy or -1, what, time, that toy's executed-event count) of every
+    /// interacting event, and of every toy a queued event touches.
+    std::vector<std::tuple<int, int, double, std::uint64_t>> interacting;
+    std::uint64_t events{0};
+  };
+
+  WindowScenario(bool queued, std::uint64_t seed, std::uint64_t target)
+      : queued_{queued}, rng_{seed}, target_{target} {
+    for (int id = 0; id < kToys; ++id) {
+      const auto mode = id < 4 ? Lookahead::kExact : id < 8 ? Lookahead::kLoose : Lookahead::kNone;
+      toys_.push_back(std::make_unique<Toy>(*this, id, mode));
+    }
+  }
+
+  Logs run() {
+    for (int id = 0; id < kToys; ++id) {
+      Toy& toy = *toys_[static_cast<std::size_t>(id)];
+      toy.begin(static_cast<std::uint32_t>(rng_.uniform_int(5, 60)), rng_.next_u64());
+      toy.publish();
+      toy.arm(1, at(static_cast<double>(rng_.uniform_int(50, 400))));
+      toy.publish();
+    }
+    sim_.schedule_at(at(3.0), [this] { storm(); });
+    sim_.schedule_at(at(5.0), [this] { launch(); });
+    sim_.schedule_at(at(7000.0), [this] {
+      logs_.interacting.emplace_back(-1, 9, sim_.now().to_seconds(), 0);
+      sim_.request_stop();
+    });
+    for (const double until : {600.0, 600.0, 1800.5, 4000.0}) {
+      sim_.run_until(at(until));
+      logs_.interacting.emplace_back(-1, 8, sim_.now().to_seconds(), 0);
+    }
+    sim_.run();  // returns at the stop request
+    logs_.interacting.emplace_back(-1, 7, sim_.now().to_seconds(), 0);
+    sim_.run_until(at(9000.0));
+    sim_.run();
+    logs_.events = sim_.events_processed();
+    for (const auto& toy : toys_) logs_.holders.push_back(toy->log());
+    return std::move(logs_);
+  }
+
+ private:
+  static constexpr int kToys = 12;
+  enum class Lookahead { kNone, kLoose, kExact };
+  static TimePoint at(double s) { return TimePoint::at(Duration::seconds(s)); }
+
+  class Toy final : public Simulation::SlotHolder {
+   public:
+    Toy(WindowScenario& scenario, int id, Lookahead mode)
+        : s_{scenario}, id_{id}, mode_{mode} {
+      if (mode_ != Lookahead::kNone && !s_.queued_) enable_lookahead();
+    }
+    ~Toy() {
+      for (int k = 0; k < 2; ++k) disarm(k);
+      s_.sim_.withdraw(*this);
+    }
+    Toy(const Toy&) = delete;
+    Toy& operator=(const Toy&) = delete;
+
+    [[nodiscard]] bool idle() const { return !slots_[0].armed && !slots_[1].armed; }
+    [[nodiscard]] std::uint64_t count() const { return count_; }
+    [[nodiscard]] const std::vector<std::pair<int, double>>& log() const { return log_; }
+
+    /// Begin a job of \p work units whose phases come from \p stream_seed.
+    void begin(std::uint32_t work, std::uint64_t stream_seed) {
+      work_ = work;
+      stream_ = Pcg32{stream_seed};
+      next_phase();
+    }
+    /// A failure: the current phase starts over, ending \p delay from now.
+    void rekey_phase(Duration delay) {
+      if (slots_[0].armed) arm(0, s_.sim_.now() + delay);
+    }
+
+    /// (Re)arm slot \p k at \p when, taking one seq either way.
+    void arm(int k, TimePoint when) {
+      disarm(k);
+      Slot& slot = slots_[static_cast<std::size_t>(k)];
+      if (s_.queued_) {
+        slot.event = s_.sim_.schedule_at(when, [this, k] {
+          slots_[static_cast<std::size_t>(k)].armed = false;
+          fire(k);
+        });
+      } else {
+        slot.seq = s_.sim_.reserve_seq();
+      }
+      slot.time = when;
+      slot.armed = true;
+    }
+    void disarm(int k) {
+      Slot& slot = slots_[static_cast<std::size_t>(k)];
+      if (slot.armed && s_.queued_) s_.sim_.cancel(slot.event);
+      slot.armed = false;
+    }
+    /// Slots changed outside this toy's own inline run.
+    void publish() {
+      if (!s_.queued_) s_.sim_.publish(*this);
+    }
+
+    void run_inline() override {
+      TimePoint when{};
+      std::uint64_t seq{0};
+      while (earliest_held(when, seq) && s_.sim_.comes_first(when, seq)) {
+        const int k = next_slot();
+        s_.sim_.advance(when);
+        slots_[static_cast<std::size_t>(k)].armed = false;
+        fire(k);
+      }
+    }
+    void run_private(TimePoint bound) override {
+      while (slots_[0].armed && slots_[0].time < bound && next_slot() == 0 &&
+             work_ > phase_work_) {
+        s_.sim_.advance_private(slots_[0].time);
+        slots_[0].armed = false;
+        fire(0);
+      }
+    }
+    [[nodiscard]] TimePoint quiet_until() const override {
+      if (mode_ == Lookahead::kNone) return SlotHolder::quiet_until();
+      TimePoint key{};
+      std::uint64_t seq{0};
+      earliest_held(key, seq);
+      if (next_slot() != 0 || work_ <= phase_work_) return key;
+      TimePoint quiet = key + Duration::seconds(static_cast<double>(work_ - phase_work_));
+      if (mode_ == Lookahead::kExact) {
+        // Replay the stream: the completion's own time.
+        Pcg32 stream = stream_;
+        std::uint32_t work = work_ - phase_work_;
+        quiet = key;
+        while (work > 0) {
+          const Phase phase = draw(stream, work);
+          quiet = quiet + phase.length;
+          work -= phase.work;
+        }
+      }
+      if (slots_[1].armed && slots_[1].time < quiet) quiet = slots_[1].time;
+      return quiet;
+    }
+    bool earliest_held(TimePoint& when, std::uint64_t& seq) const override {
+      if (!slots_[0].armed && !slots_[1].armed) return false;
+      const Slot& next = slots_[static_cast<std::size_t>(next_slot())];
+      when = next.time;
+      seq = next.seq;
+      return true;
+    }
+    void held_keys(std::vector<HeldKey>& out) override {
+      for (Slot& slot : slots_) {
+        if (slot.armed) out.push_back({slot.time, &slot.seq});
+      }
+    }
+
+   private:
+    struct Slot {
+      bool armed{false};
+      TimePoint time{};
+      std::uint64_t seq{0};
+      EventId event{};
+    };
+    struct Phase {
+      std::uint32_t work;
+      Duration length;
+    };
+
+    /// The next phase of a job with \p left units: at least a second per
+    /// unit, in quarter seconds; one in five does no work, and one in
+    /// fifteen takes no time.
+    static Phase draw(Pcg32& stream, std::uint32_t left) {
+      const std::uint32_t work =
+          stream.next_below(5) == 0 ? 0 : std::min(left, 1 + stream.next_below(3));
+      const std::uint32_t quarters = stream.next_below(4) == 0 ? 0 : stream.next_below(9);
+      return Phase{work, Duration::seconds(static_cast<double>(work) + 0.25 * quarters)};
+    }
+    void next_phase() {
+      const Phase phase = draw(stream_, work_);
+      phase_work_ = phase.work;
+      // A toy that does not look ahead bounds every window by its key:
+      // its phases are longer, so that windows still span many events.
+      arm(0, s_.sim_.now() + phase.length * (mode_ == Lookahead::kNone ? 16.0 : 1.0));
+    }
+    /// The held slot whose event comes first by (time, seq).
+    [[nodiscard]] int next_slot() const {
+      if (!slots_[1].armed) return 0;
+      if (!slots_[0].armed) return 1;
+      if (slots_[0].time != slots_[1].time) return slots_[0].time < slots_[1].time ? 0 : 1;
+      return slots_[0].seq < slots_[1].seq ? 0 : 1;
+    }
+
+    void fire(int k) {
+      ++count_;
+      log_.emplace_back(k, s_.sim_.now().to_seconds());
+      if (k == 0 && work_ > phase_work_) {  // private: touches only this toy
+        work_ -= phase_work_;
+        next_phase();
+        return;
+      }
+      EXPECT_GE(s_.sim_.now(), quiet_bound()) << "toy " << id_;
+      s_.logs_.interacting.emplace_back(id_, k, s_.sim_.now().to_seconds(), count_);
+      if (k == 0) work_ = 0;
+      if (!s_.live()) return;
+      const double r = s_.rng_.next_double();
+      if (k == 0) {
+        if (r < 0.6) {
+          begin(static_cast<std::uint32_t>(s_.rng_.uniform_int(10, 100)), s_.rng_.next_u64());
+        }
+        if (s_.rng_.bernoulli(0.3)) {
+          Toy& other = s_.pick();
+          if (&other != this) {
+            other.arm(1, s_.later(60.0));
+            other.publish();
+          }
+        }
+      } else if (r < 0.4) {
+        arm(1, s_.later(60.0));
+      } else if (r < 0.6) {
+        disarm(0);
+      } else if (r < 0.8) {
+        rekey_phase(s_.later() - s_.sim_.now());
+      }
+    }
+
+    WindowScenario& s_;
+    int id_;
+    Lookahead mode_;
+    std::array<Slot, 2> slots_{};
+    std::uint32_t work_{0};
+    std::uint32_t phase_work_{0};
+    Pcg32 stream_{0};
+    std::uint64_t count_{0};
+    std::vector<std::pair<int, double>> log_;
+
+    friend class WindowScenario;
+  };
+
+  [[nodiscard]] bool live() const { return sim_.events_processed() < target_; }
+  Toy& pick() { return *toys_[rng_.next_below(kToys)]; }
+  /// now + \p base + a delay with many exact ties: 0, 1-4 whole seconds or
+  /// quarters.
+  TimePoint later(double base = 0.0) {
+    const double r = rng_.next_double();
+    const double delay = r < 0.1   ? 0.0
+                         : r < 0.6 ? static_cast<double>(rng_.uniform_int(1, 4))
+                                   : 0.25 * static_cast<double>(rng_.uniform_int(1, 16));
+    return sim_.now() + Duration::seconds(base + delay);
+  }
+
+  /// Log a queued event touching \p toy, with the toy's executed count.
+  void touch(Toy& toy, int what) {
+    logs_.interacting.emplace_back(toy.id_, what, sim_.now().to_seconds(), toy.count());
+  }
+
+  /// A queued burst: re-key or cancel one to three toys in one callback.
+  void storm() {
+    logs_.interacting.emplace_back(-1, 2, sim_.now().to_seconds(), 0);
+    if (!live()) return;
+    const auto count = rng_.uniform_int(1, 3);
+    for (std::int64_t i = 0; i < count; ++i) {
+      Toy& toy = pick();
+      touch(toy, 3);
+      const double r = rng_.next_double();
+      if (r < 0.15) {
+        toy.disarm(0);
+        toy.disarm(1);
+      } else if (r < 0.6) {
+        toy.rekey_phase(later() - sim_.now());
+      } else {
+        toy.arm(1, later(60.0));
+      }
+      toy.publish();
+    }
+    sim_.schedule_at(later(30.0), [this] { storm(); });
+  }
+
+  /// A queued launch: a pair of idle toys of one class begin as twins.
+  void launch() {
+    logs_.interacting.emplace_back(-1, 4, sim_.now().to_seconds(), 0);
+    if (!live()) return;
+    const std::size_t pair = 2 * rng_.next_below(kToys / 2);
+    Toy& a = *toys_[pair];
+    Toy& b = *toys_[pair + 1];
+    const auto work = static_cast<std::uint32_t>(rng_.uniform_int(3, 100));
+    const std::uint64_t stream_seed = rng_.next_u64();
+    if (a.idle() && b.idle()) {
+      touch(a, 5);
+      touch(b, 5);
+      a.begin(work, stream_seed);
+      a.publish();
+      b.begin(work, stream_seed);
+      b.publish();
+    }
+    sim_.schedule_at(later(20.0), [this] { launch(); });
+  }
+
+  bool queued_;
+  Pcg32 rng_;
+  std::uint64_t target_;
+  Simulation sim_;
+  Logs logs_;
+  std::vector<std::unique_ptr<Toy>> toys_;
+};
+
+TEST(SimOracle, LookaheadWindowsMatchFullyQueuedOrder) {
+  for (const std::uint64_t seed : {7U, 8U}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const obs::PerfCounters before = obs::perf_snapshot();
+    const auto held = WindowScenario{false, seed, 150000}.run();
+    const obs::PerfCounters windowed = obs::perf_delta(before);
+    const auto queued = WindowScenario{true, seed, 150000}.run();
+    ASSERT_GE(queued.events, 100000U);
+    EXPECT_EQ(held.events, queued.events);
+    // The held run did run windows: far fewer holder runs than events.
+    EXPECT_GT(windowed.events_executed, 2 * windowed.holder_runs);
+    ASSERT_EQ(held.holders.size(), queued.holders.size());
+    for (std::size_t toy = 0; toy < held.holders.size(); ++toy) {
+      const auto& a = held.holders[toy];
+      const auto& b = queued.holders[toy];
+      for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+        ASSERT_EQ(a[i], b[i]) << "toy " << toy << ": first divergence at event " << i;
+      }
+      ASSERT_EQ(a.size(), b.size()) << "toy " << toy;
+    }
+    const auto& a = held.interacting;
+    const auto& b = queued.interacting;
+    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+      ASSERT_EQ(a[i], b[i]) << "first divergence at interacting entry " << i;
+    }
+    ASSERT_EQ(a.size(), b.size());
   }
 }
 

@@ -167,6 +167,36 @@ TEST(StudySmoke, WorkloadFiguresMatchGolden) {
   }
 }
 
+/// \p report without its "Instrumented breakdown" block: the blank line
+/// before the heading through the breakdown table's bottom border (its
+/// third border line).
+std::string without_breakdown(const std::string& report) {
+  const std::size_t heading = report.find("\n\nInstrumented breakdown");
+  if (heading == std::string::npos) return report;
+  std::size_t border = heading + 2;
+  for (int i = 0; i < 3; ++i) border = report.find("\n+", border) + 1;
+  return report.substr(0, heading + 1) + report.substr(report.find('\n', border) + 1);
+}
+
+// Without --metrics the runtimes are unobserved and the workload engine runs
+// them in lookahead windows; with --metrics (the test above) they take the
+// exact path. The reports must carry the same results tables.
+TEST(StudySmoke, WorkloadFiguresMatchGoldenWithoutMetrics) {
+  for (const char* name : {"fig4_resource_management", "fig5_resilience_selection",
+                           "ablation_burst_failures"}) {
+    const StudyDefinition* def = StudyRegistry::instance().find(name);
+    ASSERT_NE(def, nullptr) << name;
+    const SmokeArtifacts run = run_smoke(
+        *def, 1, "1", [](HarnessOptions& options) { options.obs.metrics_path.clear(); });
+    ASSERT_EQ(run.exit_code, 0) << name;
+    EXPECT_TRUE(run.metrics_bytes.empty()) << name;
+    const std::string golden =
+        read_file(std::string{XRES_TEST_DATA_DIR} + "/" + name + "_p1.txt");
+    ASSERT_NE(golden.find("Instrumented breakdown"), std::string::npos) << name;
+    EXPECT_EQ(run.stdout_bytes, without_breakdown(golden)) << name;
+  }
+}
+
 // A workload ablation's journal written without --metrics holds no per-run
 // metrics, so resuming it with --metrics must re-run those pattern runs
 // instead of merging holes: the resumed report and metrics must equal the

@@ -141,8 +141,18 @@ determinism_check() {
 
   # The workload engine through the study's shared plan cache, with the
   # runtimes in the holder heap: the fixed-technique combos (multilevel
-  # plans included) and Resilience Selection, threads 1 vs 4.
+  # plans included) and Resilience Selection, threads 1 vs 4. Observed
+  # runtimes (--metrics) take the exact path; unobserved ones run in
+  # lookahead windows (sim/simulation.hpp), so the reports without
+  # --metrics must equal the --metrics report minus its breakdown block.
   local study wfilter=(grep -v -e 'phases:' -e '^metrics written to ')
+  local no_breakdown=(awk '
+    skip { if (/^\+/ && ++borders == 3) skip = 0; next }
+    /^Instrumented breakdown/ { skip = 1; borders = 0; held = 0; next }
+    held { print ""; held = 0 }
+    /^$/ { held = 1; next }
+    { print }
+    END { if (held) print "" }')
   for study in fig4_resource_management fig5_resilience_selection; do
     local wargs=(run "$study" --set patterns=1)
     "$BUILD"/tools/xres "${wargs[@]}" --threads 1 --metrics "$dir/w1.json" > "$dir/w1.txt"
@@ -151,8 +161,15 @@ determinism_check() {
     "${wfilter[@]}" "$dir/w4.txt" > "$dir/w4-clean.txt"
     cmp "$dir/w1-clean.txt" "$dir/w4-clean.txt"
     cmp "$dir/w1.json" "$dir/w4.json"
+    "${no_breakdown[@]}" "$dir/w1-clean.txt" > "$dir/w-tables.txt"
+    local threads
+    for threads in 1 4; do
+      "$BUILD"/tools/xres "${wargs[@]}" --threads "$threads" > "$dir/u$threads.txt"
+      "${wfilter[@]}" "$dir/u$threads.txt" > "$dir/u$threads-clean.txt"
+      cmp "$dir/w-tables.txt" "$dir/u$threads-clean.txt"
+    done
   done
-  echo "determinism: OK (repeat + threads 1 vs 4 byte-identical, single-app, fig4 and fig5)"
+  echo "determinism: OK (repeat + threads 1 vs 4 byte-identical, single-app, fig4 and fig5 with and without --metrics)"
 }
 determinism_check
 stage_done determinism
