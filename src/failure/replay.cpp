@@ -22,7 +22,7 @@ void TraceFailureProcess::start() {
       ++skipped_;
       continue;
     }
-    pending_.push_back(sim_.schedule_at(failure.time, [this, failure] {
+    pending_.push_back(sim_.schedule_at(failure.time, [this, &failure] {
       ++delivered_;
       on_failure_(failure);
     }));

@@ -96,10 +96,7 @@ void ResilientAppRuntime::start() {
   }
 
   if (obs_ == nullptr && pfs_device_ == nullptr) enable_lookahead();
-  if (plan_.max_wall_time.is_finite()) {
-    hold(timeout_slot_, sim_.now() + plan_.max_wall_time);
-    sim_.publish(*this);  // before the next reservation (Simulation::reserve_seq)
-  }
+  if (plan_.max_wall_time.is_finite()) hold(timeout_slot_, sim_.now() + plan_.max_wall_time);
   enter_working();
   sim_.publish(*this);
 }

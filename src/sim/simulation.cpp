@@ -16,13 +16,13 @@ EventId Simulation::schedule_at(TimePoint when, EventCallback callback) {
   XRES_CHECK(!in_window_, "a private event scheduled a callback");
   XRES_CHECK(when >= now_, "cannot schedule an event in the past (t=" +
                                to_string(when) + " < now=" + to_string(now_) + ")");
-  return queue_.schedule_reserved(when, next_seq(), std::move(callback));
+  return queue_.schedule(when, std::move(callback));
 }
 
 EventId Simulation::schedule_after(Duration delay, EventCallback callback) {
   XRES_CHECK(!in_window_, "a private event scheduled a callback");
   XRES_CHECK(delay >= Duration::zero(), "negative scheduling delay: " + to_string(delay));
-  return queue_.schedule_reserved(now_ + delay, next_seq(), std::move(callback));
+  return queue_.schedule(now_ + delay, std::move(callback));
 }
 
 void Simulation::host() {
@@ -135,30 +135,11 @@ void Simulation::run_root() {
   ++holder_runs_;
   holder.run_inline();
   running_ = nullptr;
+  update_bound();  // drop the others bound, which held for this run only
   // The root's key was its next event and came first, so it ran: a holder
   // that ran nothing had not published a change to its slots.
   XRES_CHECK(events_processed_ != executed, "a slot holder's key is stale");
   relist(holder);
-}
-
-void Simulation::renumber() {
-  // Inside a window the listed keys are the holders' pre-window keys, which
-  // the re-sequencing compares; the window's first seq keeps marking where
-  // the window's reservations begin.
-  std::vector<SlotHolder::HeldKey> held;
-  if (lone_ != nullptr) lone_->held_keys(held);
-  for (Listed& listed : heap_) listed.holder->held_keys(held);
-  std::vector<std::uint64_t*> reserved;
-  reserved.reserve(held.size() + heap_.size() + 3);
-  for (const SlotHolder::HeldKey& key : held) reserved.push_back(key.seq);
-  for (Listed& listed : heap_) reserved.push_back(&listed.seq);
-  if (has_horizon_) reserved.push_back(&horizon_seq_);
-  if (running_ != nullptr && others_time_ < TimePoint::infinity()) {
-    reserved.push_back(&others_seq_);
-  }
-  if (in_window_) reserved.push_back(&window_first_seq_);
-  queue_.renumber_seqs(reserved);
-  update_bound();
 }
 
 void Simulation::poll_watchdog() {

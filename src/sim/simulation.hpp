@@ -62,8 +62,8 @@ class Simulation {
   /// A component holding its next events in slots of its own (see above).
   class SlotHolder {
    public:
-    /// A held event: its time and its seq, which renumbering and window
-    /// re-sequencing rewrite in place.
+    /// A held event: its time and its seq, which window re-sequencing
+    /// rewrites in place.
     struct HeldKey {
       TimePoint time;
       std::uint64_t* seq;
@@ -134,9 +134,6 @@ class Simulation {
   /// Cancel a pending event; returns true if it had not yet fired.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
-  /// True if \p id is still pending.
-  [[nodiscard]] bool pending(EventId id) const { return queue_.pending(id); }
-
   /// Run until no event is left or request_stop() is called. \p max_events
   /// guards against runaway models (0 = unlimited); it is checked before
   /// each round of the loop (a window, then an exact step), so a round that
@@ -149,11 +146,7 @@ class Simulation {
   void run_until(TimePoint until);
 
   /// Reserve the next insertion seq for an event a holder keeps in a slot.
-  /// Renumbering (every 2^32 seqs, possibly inside this call) rewrites the
-  /// held seqs of the lone holder and the listed ones only (a running
-  /// holder is either), so outside its inline run or window a holder
-  /// publishes between two reservations.
-  std::uint64_t reserve_seq() { return next_seq(); }
+  std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
 
   /// \p holder's slots changed outside its own inline run: re-read its key.
   void publish(SlotHolder& holder) {
@@ -174,8 +167,7 @@ class Simulation {
   /// seq. While set, inline dispatch stops before it; the caller fires it
   /// with advance(horizon_time()).
   void set_horizon(TimePoint when) {
-    has_horizon_ = false;  // the old horizon's seq is spent
-    horizon_seq_ = next_seq();
+    horizon_seq_ = queue_.reserve_seq();
     horizon_time_ = when;
     has_horizon_ = true;
     update_bound();
@@ -261,14 +253,6 @@ class Simulation {
   /// of the keys it reserved and the heap rebuild.
   void run_window();
   void resequence_window();
-  std::uint64_t next_seq() {
-    if (queue_.seqs_exhausted()) renumber();
-    return queue_.reserve_seq();
-  }
-  /// Renumber the queue's seqs together with every reserved one held
-  /// outside it (holders' slots and keys, the horizon, the others bound,
-  /// and inside a window its first seq).
-  void renumber();
   void update_bound() {
     bound_time_ = stop_requested_ ? TimePoint::origin() - Duration::infinity() : until_;
     bound_seq_ = std::numeric_limits<std::uint64_t>::max();

@@ -20,7 +20,7 @@
 // events and the holders' event counts at those must match instead.
 //
 // This test also runs under TSAN (tools/tier1.sh) to shake out undefined
-// behavior in the slab/tag machinery.
+// behavior in the heap and the generation-tagged slots.
 
 #include <gtest/gtest.h>
 

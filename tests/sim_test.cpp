@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,7 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   q.cancel(a);
   EXPECT_EQ(q.size(), 1U);
   EXPECT_EQ(q.next_time(), at(2.0));
-  q.clear();
+  EXPECT_TRUE(q.pop().has_value());
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(q.next_time().has_value());
 }
@@ -126,27 +127,6 @@ TEST(EventQueue, StaleIdStaysDeadAcrossSlotReuse) {
     stale.push_back(current);
   }
   EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, RenumberKeepsReservedSeqsInOrder) {
-  // A seq reserved for an event held outside the queue keeps its place
-  // among the queued events' when the counter is renumbered, and orders
-  // against them under it afterwards. A second copy of it (a holder's key
-  // next to its held seq) gets the same rank.
-  EventQueue q;
-  std::string log;
-  q.schedule(at(1.0), [&] { log += 'a'; });
-  std::uint64_t held = q.reserve_seq();
-  std::uint64_t key = held;
-  q.schedule(at(1.0), [&] { log += 'c'; });
-  std::uint64_t* const reserved[] = {&key, &held};
-  q.renumber_seqs(reserved);
-  EXPECT_EQ(held, 1U);
-  EXPECT_EQ(key, 1U);
-  q.schedule(at(1.0), [&] { log += 'd'; });
-  q.schedule_reserved(at(1.0), held, [&] { log += 'b'; });
-  while (auto e = q.pop()) e->callback();
-  EXPECT_EQ(log, "abcd");
 }
 
 TEST(Simulation, ClockAdvancesWithEvents) {
@@ -243,6 +223,53 @@ TEST(Simulation, DeterministicTieOrderWithCancellation) {
   sim.cancel(b);
   sim.run();
   EXPECT_EQ(log, "ac");
+}
+
+/// A slot holder with one event, held at the time it is armed with.
+class OneShotHolder final : public Simulation::SlotHolder {
+ public:
+  OneShotHolder(Simulation& sim, TimePoint when) : sim_{sim}, time_{when} {
+    seq_ = sim_.reserve_seq();
+    sim_.publish(*this);
+  }
+  ~OneShotHolder() { sim_.withdraw(*this); }
+  OneShotHolder(const OneShotHolder&) = delete;
+  OneShotHolder& operator=(const OneShotHolder&) = delete;
+
+  void run_inline() override {
+    if (!held_ || !sim_.comes_first(time_, seq_)) return;
+    sim_.advance(time_);
+    held_ = false;
+  }
+  bool earliest_held(TimePoint& when, std::uint64_t& seq) const override {
+    when = time_;
+    seq = seq_;
+    return held_;
+  }
+  void held_keys(std::vector<HeldKey>& out) override {
+    if (held_) out.push_back({time_, &seq_});
+  }
+
+ private:
+  Simulation& sim_;
+  TimePoint time_;
+  std::uint64_t seq_{0};
+  bool held_{true};
+};
+
+TEST(Simulation, BoundTimeResetsAfterHolderRun) {
+  // The root holder runs bounded by the best other holder; once its run
+  // ends that bound no longer applies, so a queued callback between two
+  // holder runs must see no bound at all.
+  Simulation sim;
+  OneShotHolder first{sim, at(1.0)};
+  OneShotHolder second{sim, at(10.0)};
+  TimePoint seen{};
+  sim.schedule_at(at(2.5), [&] { seen = sim.bound_time(); });
+  sim.run();
+  EXPECT_EQ(seen.to_seconds(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(sim.events_processed(), 3U);
+  EXPECT_DOUBLE_EQ(sim.now().to_seconds(), 10.0);
 }
 
 }  // namespace

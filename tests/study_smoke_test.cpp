@@ -134,20 +134,39 @@ void expect_golden(const std::string& path, const std::string& bytes) {
       << "change is intentional";
 }
 
-// Byte-identity guard for the shared-PFS path: the contention ablation's
-// report and --metrics JSON at one pattern per cell are pinned to goldens,
+// Byte-identity guard for the shared-PFS path: the contention ablations'
+// reports and --metrics JSON at one pattern per cell are pinned to goldens,
 // so any change to how the shared PFS serves checkpoint storms shows up
-// here rather than only in inequality checks.
+// here rather than only in inequality checks. The topology variant drives
+// the fat-tree PfsDevice, the event queue's heaviest cancel/reschedule user.
 TEST(StudySmoke, PfsContentionMatchesGolden) {
-  const StudyDefinition* def =
-      StudyRegistry::instance().find("ablation_pfs_contention");
-  ASSERT_NE(def, nullptr);
-  const SmokeArtifacts run = run_smoke(*def, 1, "1");
-  ASSERT_EQ(run.exit_code, 0);
-  const std::string base =
-      std::string{XRES_TEST_DATA_DIR} + "/ablation_pfs_contention_p1";
-  expect_golden(base + ".txt", run.stdout_bytes);
-  expect_golden(base + ".metrics.json", run.metrics_bytes);
+  for (const char* name : {"ablation_pfs_contention", "ablation_pfs_contention_topology"}) {
+    const StudyDefinition* def = StudyRegistry::instance().find(name);
+    ASSERT_NE(def, nullptr) << name;
+    const SmokeArtifacts run = run_smoke(*def, 1, "1");
+    ASSERT_EQ(run.exit_code, 0) << name;
+    const std::string base = std::string{XRES_TEST_DATA_DIR} + "/" + name + "_p1";
+    expect_golden(base + ".txt", run.stdout_bytes);
+    expect_golden(base + ".metrics.json", run.metrics_bytes);
+  }
+}
+
+// Byte-identity guard for the single-app figures, where each trial's
+// runtime is a lone holder ordered against its failures by horizon seqs:
+// Figures 1-3 at two trials per cell, report, CSV and --metrics JSON
+// pinned to goldens.
+TEST(StudySmoke, EfficiencyFiguresMatchGolden) {
+  for (const char* name :
+       {"fig1_efficiency_a32", "fig2_efficiency_d64", "fig3_efficiency_d64_mtbf2p5"}) {
+    const StudyDefinition* def = StudyRegistry::instance().find(name);
+    ASSERT_NE(def, nullptr) << name;
+    const SmokeArtifacts run = run_smoke(*def, 1, "2");
+    ASSERT_EQ(run.exit_code, 0) << name;
+    const std::string base = std::string{XRES_TEST_DATA_DIR} + "/" + name + "_t2";
+    expect_golden(base + ".txt", run.stdout_bytes);
+    expect_golden(base + ".csv", run.csv_bytes);
+    expect_golden(base + ".metrics.json", run.metrics_bytes);
+  }
 }
 
 // Byte-identity guard for the multi-app workload engine: the Figure 4 and

@@ -531,6 +531,18 @@ stage_done surrogate
 echo "catalog: OK (docs/STUDIES.md matches xres list --markdown)"
 stage_done catalog
 
+# Opt-in full-catalog smoke: every registered study at tiny trial counts,
+# --threads 1 vs 2, artifacts byte-compared, plus the full differential
+# matrix (trial engine vs queued reference, surrogate) and the 200-config
+# property test (tier-1 ctest covers fast subsets of all three
+# unconditionally). It runs ahead of the benchmark stage, so a failing
+# benchmark self-test does not hide its result.
+if [[ "${XRES_SMOKE_ALL:-0}" == "1" ]]; then
+  XRES_SMOKE_ALL=1 "$BUILD"/tests/xres_tests \
+    --gtest_filter='StudySmoke.FullCatalog*:SurrogateDiff.*:SurrogateProperty.*'
+  stage_done smoke-all
+fi
+
 # Benchmark stage (BENCHMARK.json): the benchmark's self-test runs every
 # workload at small sizes with its output and thread-invariance checks.
 # xbench calls library entry points directly (study registry, suite,
@@ -538,16 +550,5 @@ stage_done catalog
 # fails here. It configures and builds its own tree under .bench_build/.
 python3 xbench/selftest.py
 stage_done xbench-selftest
-
-# Opt-in full-catalog smoke: every registered study at tiny trial counts,
-# --threads 1 vs 2, artifacts byte-compared, plus the full differential
-# matrix (trial engine vs queued reference, surrogate) and the 200-config
-# property test (tier-1 ctest covers fast subsets of all three
-# unconditionally).
-if [[ "${XRES_SMOKE_ALL:-0}" == "1" ]]; then
-  XRES_SMOKE_ALL=1 "$BUILD"/tests/xres_tests \
-    --gtest_filter='StudySmoke.FullCatalog*:SurrogateDiff.*:SurrogateProperty.*'
-  stage_done smoke-all
-fi
 
 echo "tier-1 OK"
