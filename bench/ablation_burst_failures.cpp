@@ -15,42 +15,42 @@ namespace {
 using namespace xres;
 
 int run(study::StudyContext& ctx) {
-  const auto patterns = ctx.params().u32("patterns");
   const auto width = ctx.params().u32("burst-width");
-  const std::uint64_t seed = ctx.seed();
   study::RecoveryCoordinator& coordinator = ctx.recovery();
   study::ObsCollector& collector = ctx.collector();
-  const TrialExecutor executor{1};  // pattern runs are serial in this sweep
 
   std::printf("Ablation: correlated failures (bursts of %u nodes), scheduler Slack\n\n",
               width);
 
   Table table{{"burst probability", "checkpoint-restart dropped %",
                "multilevel dropped %", "parallel-recovery dropped %"}};
+  std::vector<WorkloadCombo> combos;
+  for (TechniqueKind kind : workload_techniques()) {
+    combos.push_back(
+        WorkloadCombo{SchedulerKind::kSlack, TechniquePolicy::fixed_technique(kind)});
+  }
   for (double probability : {0.0, 0.1, 0.3, 0.6}) {
+    // Each row is one workload study, journaled under the row's name.
     std::vector<std::string> row{fmt_percent(probability, 0)};
-    for (TechniqueKind kind : workload_techniques()) {
-      WorkloadStudyConfig study_config;
-      study::apply_platform_params(study_config.machine, ctx.params());
-      const std::vector<WorkloadRunResult> runs = collector.run_patterns(
-          executor, patterns, seed,
-          "burst:" + fmt_percent(probability, 0) + "/" + to_string(kind), coordinator,
-          [&](std::uint32_t p, obs::TrialObs* obs) {
-            WorkloadEngineConfig engine;
-            engine.machine = study_config.machine;
-            engine.resilience = study_config.resilience;
-            engine.policy = TechniquePolicy::fixed_technique(kind);
-            engine.scheduler = SchedulerKind::kSlack;
-            engine.seed = derive_seed(seed, kWorkloadEngineSeedKey, p);
-            engine.bursts = BurstFailureConfig{probability, width};
-            engine.obs = obs;
-            return run_workload(engine, generate_pattern(study_config.workload, seed, p));
-          });
-      if (coordinator.interrupted()) return coordinator.finish();
-      RunningStats dropped;
-      for (const WorkloadRunResult& r : runs) dropped.add(r.dropped_fraction);
-      row.push_back(fmt_double(dropped.mean() * 100.0, 2) + " ± " +
-                    fmt_double(dropped.stddev() * 100.0, 2));
+    WorkloadStudyConfig config;
+    study::apply_platform_params(config.machine, ctx.params());
+    config.bursts = BurstFailureConfig{probability, width};
+    config.patterns = ctx.params().u32("patterns");
+    config.seed = ctx.seed();
+    config.threads = ctx.threads();
+    config.collect_metrics = ctx.options().obs.metrics();
+    config.recovery = coordinator.options();
+    config.recovery_batch = row.front();
+    recovery::BatchReport report;
+    const std::vector<WorkloadComboResult> results =
+        run_workload_study(config, combos, {}, &report);
+    coordinator.absorb(report);
+    if (coordinator.interrupted()) return coordinator.finish();
+
+    for (const WorkloadComboResult& r : results) {
+      row.push_back(fmt_double(r.dropped_fraction.mean * 100.0, 2) + " ± " +
+                    fmt_double(r.dropped_fraction.stddev * 100.0, 2));
+      if (r.metrics.has_value()) collector.merge(*r.metrics);
     }
     table.add_row(std::move(row));
     std::fprintf(stderr, "finished probability %.1f\n", probability);
@@ -70,7 +70,7 @@ study::StudyDefinition make() {
       "dropped applications as independent failures become correlated bursts";
   def.summary = "ablation_burst_failures — dropped %% vs correlated-failure mix";
   def.options.default_seed = 20170530;
-  def.options.threads = false;  // pattern runs are serial in this sweep
+  def.options.threads = false;  // one worker: ctx.threads() is 1
   def.options.obs = study::StudyOptionsSpec::Obs::kNoTrace;
   def.params.integer("patterns", "arrival patterns per cell", 15).min(1);
   def.params.integer("burst-width", "nodes per burst (cabinet size)", 512).min(1);

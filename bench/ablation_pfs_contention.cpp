@@ -19,16 +19,19 @@ using namespace xres;
 int run(study::StudyContext& ctx) {
   study::require_flat_platform(ctx.params(), "ablation_pfs_contention");
   const auto patterns = ctx.params().u32("patterns");
-  const std::uint64_t seed = ctx.seed();
   study::RecoveryCoordinator& coordinator = ctx.recovery();
   study::ObsCollector& collector = ctx.collector();
-  const TrialExecutor executor{1};  // pattern runs are serial in this sweep
 
   std::printf("Ablation: PFS contention in the oversubscribed workload study\n");
   std::printf("scheduler Slack, %u patterns per cell\n\n", patterns);
 
   Table table{{"PFS model", "checkpoint-restart dropped %", "multilevel dropped %",
                "parallel-recovery dropped %"}};
+  std::vector<WorkloadCombo> combos;
+  for (TechniqueKind kind : workload_techniques()) {
+    combos.push_back(
+        WorkloadCombo{SchedulerKind::kSlack, TechniquePolicy::fixed_technique(kind)});
+  }
 
   struct Variant {
     const char* name;
@@ -38,31 +41,27 @@ int run(study::StudyContext& ctx) {
                                 Variant{"shared, 8 gateways", 8},
                                 Variant{"shared, 4 gateways", 4},
                                 Variant{"shared, 1 gateway", 1}}) {
-    std::vector<std::string> row{variant.name};
-    for (TechniqueKind kind : workload_techniques()) {
-      WorkloadStudyConfig study_config;
-      study::apply_platform_params(study_config.machine, ctx.params());
-      study_config.machine.platform.pfs_gateways = variant.gateways;
+    // Each row is one workload study, journaled under the row's name.
+    WorkloadStudyConfig config;
+    study::apply_platform_params(config.machine, ctx.params());
+    config.machine.platform.pfs_gateways = variant.gateways;
+    config.patterns = patterns;
+    config.seed = ctx.seed();
+    config.threads = ctx.threads();
+    config.collect_metrics = ctx.options().obs.metrics();
+    config.recovery = coordinator.options();
+    config.recovery_batch = variant.name;
+    recovery::BatchReport report;
+    const std::vector<WorkloadComboResult> results =
+        run_workload_study(config, combos, {}, &report);
+    coordinator.absorb(report);
+    if (coordinator.interrupted()) return coordinator.finish();
 
-      // The collector's crash-safe pattern loop journals each run under a
-      // per-cell batch label.
-      const std::vector<WorkloadRunResult> runs = collector.run_patterns(
-          executor, patterns, seed, std::string{variant.name} + "/" + to_string(kind),
-          coordinator, [&](std::uint32_t p, obs::TrialObs* obs) {
-            WorkloadEngineConfig engine;
-            engine.machine = study_config.machine;
-            engine.resilience = study_config.resilience;
-            engine.policy = TechniquePolicy::fixed_technique(kind);
-            engine.scheduler = SchedulerKind::kSlack;
-            engine.seed = derive_seed(seed, kWorkloadEngineSeedKey, p);
-            engine.obs = obs;
-            return run_workload(engine, generate_pattern(study_config.workload, seed, p));
-          });
-      if (coordinator.interrupted()) return coordinator.finish();
-      RunningStats dropped;
-      for (const WorkloadRunResult& r : runs) dropped.add(r.dropped_fraction);
-      row.push_back(fmt_double(dropped.mean() * 100.0, 2) + " ± " +
-                    fmt_double(dropped.stddev() * 100.0, 2));
+    std::vector<std::string> row{variant.name};
+    for (const WorkloadComboResult& r : results) {
+      row.push_back(fmt_double(r.dropped_fraction.mean * 100.0, 2) + " ± " +
+                    fmt_double(r.dropped_fraction.stddev * 100.0, 2));
+      if (r.metrics.has_value()) collector.merge(*r.metrics);
     }
     table.add_row(std::move(row));
     std::fprintf(stderr, "finished: %s\n", variant.name);
@@ -83,7 +82,7 @@ study::StudyDefinition make() {
   def.summary = "ablation_pfs_contention — dropped %% with/without machine-wide "
                 "PFS contention";
   def.options.default_seed = 20170530;
-  def.options.threads = false;  // pattern runs are serial in this sweep
+  def.options.threads = false;  // one worker: ctx.threads() is 1
   def.options.obs = study::StudyOptionsSpec::Obs::kNoTrace;
   def.params.integer("patterns", "arrival patterns per cell", 15).min(1);
   def.run = run;

@@ -27,10 +27,8 @@ struct Variant {
 int run(study::StudyContext& ctx) {
   study::require_flat_platform(ctx.params(), "ablation_pfs_contention_topology");
   const auto patterns = ctx.params().u32("patterns");
-  const std::uint64_t seed = ctx.seed();
   study::RecoveryCoordinator& coordinator = ctx.recovery();
   study::ObsCollector& collector = ctx.collector();
-  const TrialExecutor executor{1};  // pattern runs are serial in this sweep
   const std::uint32_t channels = MachineSpec{}.network.switch_connections;
 
   std::printf("Ablation: flat (Eq. 3) vs. fat-tree queued-PFS platform\n");
@@ -38,6 +36,11 @@ int run(study::StudyContext& ctx) {
 
   Table table{{"platform", "checkpoint-restart dropped %", "multilevel dropped %",
                "parallel-recovery dropped %", "PFS measured/Eq.3"}};
+  std::vector<WorkloadCombo> combos;
+  for (TechniqueKind kind : workload_techniques()) {
+    combos.push_back(
+        WorkloadCombo{SchedulerKind::kSlack, TechniquePolicy::fixed_technique(kind)});
+  }
 
   const std::vector<Variant> variants{
       Variant{"flat (paper)", false, 0},
@@ -45,39 +48,38 @@ int run(study::StudyContext& ctx) {
       Variant{"fattree, 4 channels", true, 4},
       Variant{"fattree, 1 channel", true, 1}};
   for (const Variant& variant : variants) {
+    // Each row is one workload study, journaled under the row's name.
+    WorkloadStudyConfig config;
+    study::apply_platform_params(config.machine, ctx.params());
+    if (variant.fattree) {
+      config.machine.platform.model = PlatformModelKind::kFattree;
+      config.machine.platform.fattree.pfs_channels = variant.pfs_channels;
+    }
+    config.patterns = patterns;
+    config.seed = ctx.seed();
+    config.threads = ctx.threads();
+    config.collect_metrics = ctx.options().obs.metrics();
+    config.recovery = coordinator.options();
+    config.recovery_batch = variant.name;
+    recovery::BatchReport report;
+    const std::vector<WorkloadComboResult> results =
+        run_workload_study(config, combos, {}, &report);
+    coordinator.absorb(report);
+    if (coordinator.interrupted()) return coordinator.finish();
+
     std::vector<std::string> row{variant.name};
     std::uint64_t transfers = 0;
     double measured_s = 0.0;
     double nominal_s = 0.0;
-    for (TechniqueKind kind : workload_techniques()) {
-      WorkloadStudyConfig study_config;
-      study::apply_platform_params(study_config.machine, ctx.params());
-      if (variant.fattree) {
-        study_config.machine.platform.model = PlatformModelKind::kFattree;
-        study_config.machine.platform.fattree.pfs_channels = variant.pfs_channels;
+    for (const WorkloadComboResult& r : results) {
+      row.push_back(fmt_double(r.dropped_fraction.mean * 100.0, 2) + " ± " +
+                    fmt_double(r.dropped_fraction.stddev * 100.0, 2));
+      if (r.metrics.has_value()) collector.merge(*r.metrics);
+      for (const WorkloadRunResult& run : r.runs) {
+        transfers += run.pfs_transfers;
+        measured_s += run.pfs_measured_s;
+        nominal_s += run.pfs_nominal_s;
       }
-      const std::vector<WorkloadRunResult> runs = collector.run_patterns(
-          executor, patterns, seed, std::string{variant.name} + "/" + to_string(kind),
-          coordinator, [&](std::uint32_t p, obs::TrialObs* obs) {
-            WorkloadEngineConfig engine;
-            engine.machine = study_config.machine;
-            engine.resilience = study_config.resilience;
-            engine.policy = TechniquePolicy::fixed_technique(kind);
-            engine.scheduler = SchedulerKind::kSlack;
-            engine.seed = derive_seed(seed, kWorkloadEngineSeedKey, p);
-            engine.obs = obs;
-            return run_workload(engine, generate_pattern(study_config.workload, seed, p));
-          });
-      if (coordinator.interrupted()) return coordinator.finish();
-      RunningStats dropped;
-      for (const WorkloadRunResult& r : runs) {
-        dropped.add(r.dropped_fraction);
-        transfers += r.pfs_transfers;
-        measured_s += r.pfs_measured_s;
-        nominal_s += r.pfs_nominal_s;
-      }
-      row.push_back(fmt_double(dropped.mean() * 100.0, 2) + " ± " +
-                    fmt_double(dropped.stddev() * 100.0, 2));
     }
     // Per-variant divergence: wall time of every completed device transfer
     // over its Eq.-3 nominal. 1.00x means the queued device reproduced the
@@ -113,7 +115,7 @@ study::StudyDefinition make() {
   def.summary = "ablation_pfs_contention_topology — dropped %% and measured vs. "
                 "Eq.-3 PFS divergence, flat vs. fat-tree platform";
   def.options.default_seed = 20170530;
-  def.options.threads = false;  // pattern runs are serial in this sweep
+  def.options.threads = false;  // one worker: ctx.threads() is 1
   def.options.obs = study::StudyOptionsSpec::Obs::kNoTrace;
   def.params.integer("patterns", "arrival patterns per cell", 15).min(1);
   def.run = run;

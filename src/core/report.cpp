@@ -20,10 +20,6 @@ void StudyReport::add_table(const std::string& caption, Table table) {
   tables_.push_back(CaptionedTable{caption, std::move(table)});
 }
 
-void StudyReport::add_metrics(const std::string& caption, const obs::MetricSet& metrics) {
-  add_table(caption.empty() ? "Metrics" : caption, metrics.to_table());
-}
-
 std::string StudyReport::to_markdown() const {
   std::string out = "# " + title_ + "\n\n";
   if (!config_.empty()) {

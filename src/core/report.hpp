@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/table.hpp"
 
 namespace xres {
@@ -26,10 +25,6 @@ class StudyReport {
 
   /// A captioned result table.
   void add_table(const std::string& caption, Table table);
-
-  /// A metrics section: the set's non-zero metrics as a captioned table
-  /// (instrumented breakdown of where simulated time and events went).
-  void add_metrics(const std::string& caption, const obs::MetricSet& metrics);
 
   [[nodiscard]] const std::string& title() const { return title_; }
   [[nodiscard]] std::size_t table_count() const { return tables_.size(); }

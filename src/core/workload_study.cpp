@@ -4,6 +4,11 @@
 
 namespace xres {
 
+/// Seed key of a pattern run's engine: pattern p runs with
+/// `derive_seed(study seed, kWorkloadEngineSeedKey, p)`, whatever the combo,
+/// so every combo of a study sees the same failure sequence per pattern.
+constexpr std::uint64_t kWorkloadEngineSeedKey = 0x656e67696eULL;
+
 std::string WorkloadCombo::name() const {
   return std::string{to_string(scheduler)} + " + " + policy.name();
 }
@@ -35,7 +40,7 @@ std::vector<WorkloadComboResult> run_workload_study(
     observers.resize(total_runs);
     for (obs::TrialObs& o : observers) o.enable_metrics();
   }
-  const std::vector<WorkloadRunResult> runs =
+  std::vector<WorkloadRunResult> runs =
       TrialExecutor{config.threads}.run_journaled<WorkloadRunResult>(
           total_runs,
           [&](std::size_t idx, obs::TrialObs* obs) {
@@ -50,6 +55,7 @@ std::vector<WorkloadComboResult> run_workload_study(
             // see identical failure sequences for a given pattern (variance
             // reduction, mirroring the paper's shared arrival patterns).
             engine.seed = derive_seed(config.seed, kWorkloadEngineSeedKey, p);
+            engine.bursts = config.bursts;
             engine.obs = obs;
             engine.plans = &plans;
             return run_workload(engine, patterns[p]);
@@ -71,13 +77,14 @@ std::vector<WorkloadComboResult> run_workload_study(
     RunningStats utilization;
     RunningStats failures;
     for (std::uint32_t p = 0; p < config.patterns; ++p) {
-      const WorkloadRunResult& r = runs[ci * config.patterns + p];
+      WorkloadRunResult& r = runs[ci * config.patterns + p];
       dropped.add(r.dropped_fraction);
       utilization.add(r.mean_utilization);
       failures.add(static_cast<double>(r.failures_injected));
       for (const auto& [kind, count] : r.selection_counts) {
         out.selection_counts[kind] += count;
       }
+      out.runs.push_back(std::move(r));
     }
     out.dropped_fraction = dropped.summary();
     out.mean_utilization = utilization.summary();

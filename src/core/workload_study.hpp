@@ -20,15 +20,13 @@
 
 namespace xres {
 
-/// Seed key of a workload pattern run's engine: pattern p runs with
-/// `derive_seed(study seed, kWorkloadEngineSeedKey, p)`, whatever the combo,
-/// so every combo of a study sees the same failure sequence per pattern.
-inline constexpr std::uint64_t kWorkloadEngineSeedKey = 0x656e67696eULL;
-
 struct WorkloadStudyConfig {
   MachineSpec machine{MachineSpec::exascale()};
   ResilienceConfig resilience{};
   WorkloadConfig workload{};
+  /// Correlated-failure model handed to every pattern run's engine
+  /// (WorkloadEngineConfig::bursts); the default is the paper's model.
+  BurstFailureConfig bursts{};
   /// 50 arrival patterns in the paper.
   std::uint32_t patterns{50};
   std::uint64_t seed{20170530};
@@ -46,7 +44,9 @@ struct WorkloadStudyConfig {
   /// the affected records.
   recovery::TrialRecoveryOptions recovery{};
   /// Journal batch label. Drivers running several studies against one
-  /// journal (e.g. one per workload bias) must give each a distinct label.
+  /// journal (one per workload bias in Figure 5, one per machine or
+  /// failure-model row in the workload ablations) must give each a
+  /// distinct label.
   std::string recovery_batch{"workload"};
 };
 
@@ -67,6 +67,8 @@ struct WorkloadComboResult {
   std::map<TechniqueKind, std::uint32_t> selection_counts;  ///< summed
   /// Merged over this combo's pattern runs (set when collect_metrics).
   std::optional<obs::MetricSet> metrics;
+  /// This combo's pattern runs, in pattern order.
+  std::vector<WorkloadRunResult> runs;
 };
 
 /// Progress callback: (completed pattern-runs, total pattern-runs).

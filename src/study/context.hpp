@@ -31,12 +31,16 @@ class StudyContext {
   [[nodiscard]] const HarnessOptions& options() const { return options_; }
 
   [[nodiscard]] std::uint64_t seed() const { return options_.seed; }
-  [[nodiscard]] unsigned threads() const { return options_.threads; }
 
-  /// A trial executor honoring --threads (0 = all hardware threads).
-  [[nodiscard]] TrialExecutor make_executor() const {
-    return TrialExecutor{options_.threads};
+  /// Worker threads for the study's runs: --threads (0 = all hardware
+  /// threads), or 1 for a definition without --threads, whatever the
+  /// harness options say.
+  [[nodiscard]] unsigned threads() const {
+    return def_->options.threads ? options_.threads : 1;
   }
+
+  /// A trial executor with threads() workers.
+  [[nodiscard]] TrialExecutor make_executor() const { return TrialExecutor{threads()}; }
 
   /// The run's ObsCollector, constructed from --metrics/--trace on first use.
   [[nodiscard]] ObsCollector& collector();

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace xres::study {
 
 RecoveryCoordinator::RecoveryCoordinator(const RecoveryCliOptions& cli, std::string study,
@@ -87,14 +85,18 @@ std::vector<ExecutionResult> ObsCollector::run_batch(const TrialExecutor& execut
   coordinator.absorb(report);
   // On an interrupted batch the observers of undrained trials are empty;
   // merging them is harmless because the driver withholds artifacts.
-  if (options_.metrics() && !observers.empty()) {
-    if (!metrics_.has_value()) metrics_.emplace();
-    for (const obs::TrialObs& o : observers) metrics_->merge(*o.metrics());
+  if (options_.metrics()) {
+    for (const obs::TrialObs& o : observers) merge(*o.metrics());
   }
   if (options_.trace() && !observers.empty()) {
     trace_.add_track(label, std::move(*observers.front().trace()));
   }
   return results;
+}
+
+void ObsCollector::merge(const obs::MetricSet& metrics) {
+  if (!metrics_.has_value()) metrics_.emplace();
+  metrics_->merge(metrics);
 }
 
 void ObsCollector::finish() {
@@ -109,32 +111,6 @@ void ObsCollector::finish() {
     statusf("trace written to %s (%zu tracks, %zu events)\n",
             options_.trace_path.c_str(), trace_.track_count(), trace_.event_count());
   }
-}
-
-std::vector<WorkloadRunResult> ObsCollector::run_patterns(
-    const TrialExecutor& executor, std::uint32_t patterns, std::uint64_t root_seed,
-    const std::string& label, RecoveryCoordinator& coordinator,
-    const std::function<WorkloadRunResult(std::uint32_t, obs::TrialObs*)>& run) {
-  recovery::BatchReport report;
-  std::vector<obs::TrialObs> observers;
-  if (options_.metrics()) {
-    observers.resize(patterns);
-    for (obs::TrialObs& o : observers) o.enable_metrics();
-  }
-  const std::uint64_t label_key = fnv1a(label);
-  std::vector<WorkloadRunResult> runs = executor.run_journaled<WorkloadRunResult>(
-      patterns,
-      [&](std::size_t p, obs::TrialObs* obs) {
-        return run(static_cast<std::uint32_t>(p), obs);
-      },
-      observers, coordinator.options(), label,
-      [&](std::size_t p) { return derive_seed(root_seed, label_key, p); }, &report);
-  coordinator.absorb(report);
-  if (!observers.empty()) {
-    if (!metrics_.has_value()) metrics_.emplace();
-    for (const obs::TrialObs& o : observers) metrics_->merge(*o.metrics());
-  }
-  return runs;
 }
 
 }  // namespace xres::study

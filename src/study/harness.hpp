@@ -6,7 +6,6 @@
 /// hand-rolled sweeps. Moved here from bench/common.cpp so the bench
 /// binaries, the xres CLI and the suite runner share exactly one copy.
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "core/single_app_study.hpp"
-#include "core/workload_engine.hpp"
 #include "obs/trial_obs.hpp"
 #include "recovery/journal.hpp"
 #include "recovery/options.hpp"
@@ -63,13 +61,13 @@ class RecoveryCoordinator {
   recovery::BatchReport report_;
 };
 
-/// Observed batch execution for drivers that drive TrialExecutor directly
-/// (the ablation/extension harnesses): `run_batch` and `run_patterns` run
-/// one batch of units through the executor's journaled loop under a
-/// RecoveryCoordinator and, when observation is requested, attach one
-/// observer per unit and merge metrics in unit order; `run_batch` also
-/// keeps trial 0 of each batch as a trace track named \p label. Call
-/// finish() once after the sweep to write the artifacts.
+/// A hand-rolled sweep's observation: `run_batch` runs one trial batch
+/// through the executor's journaled loop under a RecoveryCoordinator and,
+/// when observation is requested, attaches one observer per trial, merges
+/// metrics in trial order and keeps trial 0 as a trace track named
+/// \p label; `merge` adds metrics a sweep collected itself (the workload
+/// ablations' per-combo metrics from run_workload_study). Call finish()
+/// once after the sweep to write the artifacts.
 class ObsCollector {
  public:
   explicit ObsCollector(ObsOptions options) : options_{std::move(options)} {}
@@ -81,17 +79,9 @@ class ObsCollector {
       std::span<const TrialSpec> specs, const std::string& label,
       RecoveryCoordinator& coordinator, const TrialProgress& progress = {});
 
-  /// The workload ablations' counterpart of run_batch: `run(p, obs)` for
-  /// each pattern p in [0, patterns), journaled under (\p label, p) and
-  /// fingerprinted by `derive_seed(root_seed, fnv1a(label), p)`. \p obs is
-  /// non-null only when --metrics is on. \p label must be stable across
-  /// runs and unique within the study (e.g. "variant/technique"). After an
-  /// interrupted loop (`coordinator.interrupted()`) the runs must not be
-  /// reduced.
-  [[nodiscard]] std::vector<WorkloadRunResult> run_patterns(
-      const TrialExecutor& executor, std::uint32_t patterns, std::uint64_t root_seed,
-      const std::string& label, RecoveryCoordinator& coordinator,
-      const std::function<WorkloadRunResult(std::uint32_t, obs::TrialObs*)>& run);
+  /// Merge \p metrics into the sweep's metrics, after everything merged
+  /// so far.
+  void merge(const obs::MetricSet& metrics);
 
   /// Merged metrics so far (null until the first observed batch).
   [[nodiscard]] const obs::MetricSet* metrics() const {

@@ -27,8 +27,6 @@ ScopedDeadline::ScopedDeadline(double seconds) : previous_{t_deadline_ns} {
 
 ScopedDeadline::~ScopedDeadline() { t_deadline_ns = previous_; }
 
-bool deadline_armed() { return t_deadline_ns != 0; }
-
 void deadline_poll() {
   if (t_deadline_ns == 0) return;
   if (now_ns() >= t_deadline_ns) {

@@ -42,9 +42,6 @@ class ScopedDeadline {
   long long previous_;  ///< prior deadline (steady-clock ns since epoch; 0 = none)
 };
 
-/// True when a deadline is armed on the calling thread.
-[[nodiscard]] bool deadline_armed();
-
 /// Throw TrialTimeoutError if the calling thread's armed deadline has
 /// passed; no-op when disarmed.
 void deadline_poll();

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "study/context.hpp"
 #include "study/options.hpp"
 #include "study/registry.hpp"
 #include "study/spec.hpp"
@@ -133,6 +134,22 @@ TEST(StudyRegistry, CsvPathImpliesCsv) {
   EXPECT_EQ(options.csv_path, "/tmp/implied.csv");
 }
 
+// A definition without --threads runs on one worker whatever the harness
+// options hold (a program driving run_study may pass any count).
+TEST(StudyRegistry, StudiesWithoutThreadsOptionRunOnOneWorker) {
+  for (const char* name : {"ablation_burst_failures", "ablation_pfs_contention",
+                           "ablation_pfs_contention_topology", "fig4_resource_management"}) {
+    const StudyDefinition* def = StudyRegistry::instance().find(name);
+    ASSERT_NE(def, nullptr) << name;
+    HarnessOptions options = default_harness_options(*def);
+    options.threads = 4;
+    const StudyContext ctx{*def, ParamSet{*def}, options};
+    const unsigned expected = def->options.threads ? 4 : 1;
+    EXPECT_EQ(ctx.threads(), expected) << name;
+    EXPECT_EQ(ctx.make_executor().threads(), expected) << name;
+  }
+}
+
 using StudyMainDeathTest = ::testing::Test;
 
 TEST(StudyMainDeathTest, UnknownStudyReturnsOne) {
@@ -168,6 +185,16 @@ TEST(StudyMainDeathTest, PfsAblationsRejectNonFlatPlatform) {
     const char* argv[] = {"prog", "--patterns=1", "--platform.model=fattree"};
     EXPECT_EXIT(study_main(name, 3, argv),
                 ::testing::ExitedWithCode(CliParser::kExitUsage), "platform.model")
+        << name;
+  }
+}
+
+TEST(StudyMainDeathTest, WorkloadAblationsRejectThreads) {
+  for (const char* name : {"ablation_burst_failures", "ablation_pfs_contention",
+                           "ablation_pfs_contention_topology"}) {
+    const char* argv[] = {"prog", "--patterns=1", "--threads=4"};
+    EXPECT_EXIT(study_main(name, 3, argv),
+                ::testing::ExitedWithCode(CliParser::kExitUsage), "threads")
         << name;
   }
 }

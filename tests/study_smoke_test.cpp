@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -35,8 +36,8 @@ struct SmokeArtifacts {
   std::string metrics_bytes;
 };
 
-/// Runs \p def with every trial/pattern/trace count set to \p count;
-/// \p adjust (optional) edits the harness options last.
+/// Runs \p def with every trial/pattern/trace count set to \p count and
+/// the run ledger off; \p adjust (optional) edits the harness options last.
 SmokeArtifacts run_smoke(const StudyDefinition& def, unsigned threads,
                          const char* count = "2",
                          const std::function<void(HarnessOptions&)>& adjust = {}) {
@@ -51,6 +52,7 @@ SmokeArtifacts run_smoke(const StudyDefinition& def, unsigned threads,
     if (def.find_param(key) != nullptr) params.set(key, count);
   }
   HarnessOptions options = default_harness_options(def);
+  options.ledger = false;
   if (def.options.threads) options.threads = threads;
   if (def.options.csv) {
     options.csv = true;
@@ -94,6 +96,19 @@ void expect_threads_invariant(const std::string& name) {
   EXPECT_EQ(one.stdout_bytes, two.stdout_bytes) << name;
   EXPECT_EQ(one.csv_bytes, two.csv_bytes) << name;
   EXPECT_EQ(one.metrics_bytes, two.metrics_bytes) << name;
+}
+
+// A test run must not record itself in the run ledger that `xres run`
+// appends to by default, results/ledger.jsonl under the working directory.
+TEST(StudySmoke, RunLeavesTheWorkingDirectoryLedgerAlone) {
+  const std::string ledger = "results/ledger.jsonl";
+  const bool existed = std::filesystem::exists(ledger);
+  const std::string before = read_file(ledger);
+  const StudyDefinition* def = StudyRegistry::instance().find("table1_app_types");
+  ASSERT_NE(def, nullptr);
+  ASSERT_EQ(run_smoke(*def, 1).exit_code, 0);
+  EXPECT_EQ(std::filesystem::exists(ledger), existed);
+  EXPECT_EQ(read_file(ledger), before);
 }
 
 // Fast tier-1 subset: one study per harness shape — static table, figure
@@ -183,6 +198,22 @@ TEST(StudySmoke, WorkloadFiguresMatchGolden) {
     const std::string base = std::string{XRES_TEST_DATA_DIR} + "/" + name + "_p1";
     expect_golden(base + ".txt", run.stdout_bytes);
     expect_golden(base + ".metrics.json", run.metrics_bytes);
+  }
+}
+
+// The workload ablations at two patterns per cell, where each row's workload
+// study reduces every technique over several pattern runs: reports without
+// --metrics pinned to goldens.
+TEST(StudySmoke, WorkloadAblationsMatchGoldenAtTwoPatterns) {
+  for (const char* name : {"ablation_burst_failures", "ablation_pfs_contention",
+                           "ablation_pfs_contention_topology"}) {
+    const StudyDefinition* def = StudyRegistry::instance().find(name);
+    ASSERT_NE(def, nullptr) << name;
+    const SmokeArtifacts run = run_smoke(
+        *def, 1, "2", [](HarnessOptions& options) { options.obs.metrics_path.clear(); });
+    ASSERT_EQ(run.exit_code, 0) << name;
+    expect_golden(std::string{XRES_TEST_DATA_DIR} + "/" + name + "_p2.txt",
+                  run.stdout_bytes);
   }
 }
 

@@ -411,6 +411,7 @@ TEST(SpecEndToEnd, SpecDefinedStudyMatchesCompiledInByteForByte) {
                                const std::string& out_path) {
     HarnessOptions options = default_harness_options(def);
     options.threads = 2;
+    options.ledger = false;
     set_status_stream(stderr);
     int rc = -1;
     {
@@ -434,9 +435,27 @@ TEST(SpecEndToEnd, SpecDefinedStudyMatchesCompiledInByteForByte) {
   EXPECT_EQ(spec_bytes, read_file(dir + "compiled_in.txt"));
 }
 
+/// Runs the rest of its scope from \p dir: a sweep records its cells and
+/// itself in results/ledger.jsonl under the working directory.
+class ScopedWorkingDirectory {
+ public:
+  explicit ScopedWorkingDirectory(const std::string& dir)
+      : previous_{std::filesystem::current_path()} {
+    std::filesystem::create_directories(dir);
+    std::filesystem::current_path(dir);
+  }
+  ~ScopedWorkingDirectory() { std::filesystem::current_path(previous_); }
+  ScopedWorkingDirectory(const ScopedWorkingDirectory&) = delete;
+  ScopedWorkingDirectory& operator=(const ScopedWorkingDirectory&) = delete;
+
+ private:
+  std::filesystem::path previous_;
+};
+
 TEST(SpecEndToEnd, SweepManifestIsThreadsInvariant) {
   const StudyDefinition* def = StudyRegistry::instance().find("efficiency");
   ASSERT_NE(def, nullptr);
+  const ScopedWorkingDirectory cwd{fresh_dir("sweep_cwd")};
   const SweepPlan plan = plan_sweep(*def, {SweepAxis{"type", {"A32", "C64"}}},
                                     {{"trials", "1"}});
 

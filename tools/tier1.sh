@@ -110,6 +110,37 @@ crash_resume_check() {
 }
 crash_resume_check "$BUILD"/tools/xres normal 1500 1
 crash_resume_check "$TSAN_BUILD"/tools/xres tsan 200 2
+
+# A workload ablation journals through run_workload_study, one batch per
+# variant row: SIGKILL ablation_burst_failures mid-run (about 2 s at 40
+# patterns with --metrics), resume with --metrics, and require the report
+# and metrics JSON of an uninterrupted run. If the race is lost the resume
+# is a full journal replay, still a valid check.
+ablation_crash_resume_check() {
+  local dir="$OBS_TMP/resume-ablation"
+  mkdir -p "$dir"
+  local args=(run ablation_burst_failures --set patterns=40 --seed 99 --no-ledger)
+  "$BUILD"/tools/xres "${args[@]}" --metrics "$dir/golden.json" > "$dir/golden.txt"
+
+  "$BUILD"/tools/xres "${args[@]}" --journal "$dir/j.jsonl" --metrics "$dir/void.json" \
+    > /dev/null 2>&1 &
+  local pid=$!
+  sleep 0.8
+  kill -9 "$pid" 2> /dev/null || true
+  wait "$pid" 2> /dev/null || true
+  test -s "$dir/j.jsonl"
+
+  "$BUILD"/tools/xres "${args[@]}" --journal "$dir/j.jsonl" --resume \
+    --metrics "$dir/resumed.json" > "$dir/resumed.txt"
+  local filter=(grep -v -e '^journal ' -e '^recovery: ' -e '^metrics written to ')
+  "${filter[@]}" "$dir/golden.txt" > "$dir/golden-clean.txt"
+  "${filter[@]}" "$dir/resumed.txt" > "$dir/resumed-clean.txt"
+  cmp "$dir/golden-clean.txt" "$dir/resumed-clean.txt"
+  cmp "$dir/golden.json" "$dir/resumed.json"
+  "$BUILD"/tools/xres journal "$dir/j.jsonl" > /dev/null
+  echo "crash+resume (ablation): OK ($(grep '^recovery: ' "$dir/resumed.txt"))"
+}
+ablation_crash_resume_check
 stage_done crash-resume
 
 # Determinism golden check: the same seeded study must produce byte-for-byte
