@@ -9,8 +9,12 @@
 ///    replayed against a fixed failure trace) plus the seed keys that
 ///    identify the trial within a study,
 ///  * `run_trial` — execute one trial synchronously,
-///  * `TrialExecutor` — run a batch of specs on a fixed-size worker pool
-///    with deterministic, thread-count-invariant results.
+///  * `TrialExecutor` — run units on a fixed-size worker pool with
+///    deterministic, thread-count-invariant results, through one unit
+///    loop and three entry points: `for_each` (a plain parallel-for),
+///    `run_journaled` (the crash-safe loop: resume, watchdog, retries,
+///    quarantine, journal, drain) and `run_batch` (a batch of specs
+///    through `run_journaled`).
 ///
 /// ## Seed-derivation contract
 ///
@@ -130,37 +134,13 @@ struct TrialSpec {
 /// update shared state or write to a stream without their own locking.
 using TrialProgress = std::function<void(std::size_t, std::size_t)>;
 
-/// Hooks and policy for a *controlled* executor loop — the crash-safe
-/// variant behind `--journal/--resume/--trial-timeout/--trial-retries`
-/// (docs/ROBUSTNESS.md). All hooks may be empty. Hooks run on worker
-/// threads; like the loop body, each invocation owns only its index's
-/// state, except `quarantine`, which the executor serializes internally.
-struct TrialLoopControl {
-  TrialProgress progress{};
-  /// Wall-clock watchdog per attempt, seconds (0 = disabled). Armed as a
-  /// thread-local deadline the sim engine polls (util/deadline.hpp).
-  double trial_timeout_seconds{0.0};
-  /// Total same-seed attempts per unit before giving up (min 1).
-  unsigned trial_attempts{1};
-  /// Stop handing out new units once a shutdown signal arrives
-  /// (recovery/shutdown.hpp); in-flight units drain normally.
-  bool drain_on_shutdown{true};
-  /// Return true to skip unit i (already restored from a journal). Counted
-  /// as `resumed` in the report.
-  std::function<bool(std::size_t)> already_done{};
-  /// Invoked (serialized) when unit i exhausted its attempts; record a
-  /// placeholder outcome. When empty, the last exception propagates and
-  /// fails the whole loop — the historical behavior.
-  std::function<void(std::size_t, const std::string&)> quarantine{};
-};
-
 /// Fixed-size thread-pool executor for trial batches.
 ///
 /// Work distribution is dynamic (an atomic work index hands out the next
-/// spec to the first idle worker) but results are written into per-spec
+/// unit to the first idle worker) but results are written into per-unit
 /// slots, so the output — and anything reduced from it in spec order — is
-/// independent of the distribution. `threads == 1` runs everything on the
-/// calling thread with no pool.
+/// independent of the distribution. One unit loop serves all three entry
+/// points; with one worker it runs on the calling thread, with no pool.
 class TrialExecutor {
  public:
   /// \p threads 0 selects `std::thread::hardware_concurrency()` (minimum 1).
@@ -169,57 +149,37 @@ class TrialExecutor {
   /// The resolved worker count.
   [[nodiscard]] unsigned threads() const { return threads_; }
 
-  /// Run every spec; `result[i]` is spec `i`'s outcome. Deterministic and
-  /// thread-count-invariant (see file comment). Exceptions thrown by a
-  /// trial stop the batch and are rethrown on the calling thread.
-  [[nodiscard]] std::vector<ExecutionResult> run_batch(
-      std::uint64_t root_seed, std::span<const TrialSpec> specs,
-      const TrialProgress& progress = {}) const;
-
-  /// run_batch with per-trial observation: `observers[i]` (already enabled
-  /// for the channels the caller wants) collects trial `i`. Observer count
-  /// must equal spec count. Each observer is touched only by the worker
-  /// running its trial; merging the filled contexts in spec order
-  /// (`MetricSet::merge`) is thread-count-invariant like the results.
-  [[nodiscard]] std::vector<ExecutionResult> run_batch(
-      std::uint64_t root_seed, std::span<const TrialSpec> specs,
-      std::span<obs::TrialObs> observers, const TrialProgress& progress = {}) const;
-
   /// Generic deterministic parallel-for: invokes `body(i)` once for each
   /// `i` in `[0, count)` across the worker pool. `body` must only write to
-  /// state owned by index `i`.
+  /// state owned by index `i`. The first exception stops the loop and is
+  /// rethrown on the calling thread. Never drains on a shutdown signal:
+  /// callers reduce every slot.
   void for_each(std::size_t count, const std::function<void(std::size_t)>& body,
                 const TrialProgress& progress = {}) const;
 
-  /// for_each with the crash-safety envelope: resume skipping, a per-
-  /// attempt watchdog deadline, bounded same-seed retry with quarantine,
-  /// and graceful shutdown draining. Accounting lands in \p report (may be
-  /// null). Determinism is unchanged: results still live in per-index
-  /// slots, and whether a unit ran or was restored never depends on thread
-  /// scheduling.
-  void for_each_controlled(std::size_t count,
-                           const std::function<void(std::size_t)>& body,
-                           const TrialLoopControl& control,
-                           recovery::BatchReport* report = nullptr) const;
-
-  /// The one journaled unit loop (docs/ROBUSTNESS.md) behind trial
+  /// The one crash-safe unit loop (docs/ROBUSTNESS.md) behind trial
   /// batches, workload studies and the workload ablations' pattern runs:
-  /// `result[i] = run(i, obs)` for each unit under for_each_controlled,
-  /// and the only code that consults `rec.resume`. A record of
-  /// (\p label, i) whose seed equals `fingerprint(i)` is restored instead
-  /// of re-run, together with its journaled metrics when \p observers ask
-  /// for metrics, so merged `--metrics` output stays byte-identical. It is
-  /// re-run instead when its fingerprint or payload is stale (counted in
-  /// `report->stale_records`), when the unit carries a trace observer, or
-  /// when it lacks metrics that are requested now. Completed units stream
-  /// into `rec.journal`; a unit that exhausts its attempts (when
-  /// `rec.quarantine_enabled()`) becomes `Result{}` with a journaled
-  /// quarantine marker, plus a clean metric set when metrics are on.
+  /// `result[i] = run(i, obs)` for each unit, and the only code that
+  /// consults `rec.resume`. A record of (\p label, i) whose seed equals
+  /// `fingerprint(i)` is restored instead of re-run, together with its
+  /// journaled metrics when \p observers ask for metrics, so merged
+  /// `--metrics` output stays byte-identical. It is re-run instead when its
+  /// fingerprint or payload is stale (counted in `report->stale_records`),
+  /// when the unit carries a trace observer, or when it lacks metrics that
+  /// are requested now. Each attempt runs under the `rec` watchdog and
+  /// completed units stream into `rec.journal`. A failed attempt is retried
+  /// with the same index up to `rec.trial_attempts` in all; a unit that
+  /// exhausts them becomes `Result{}` with a journaled quarantine marker
+  /// (plus a clean metric set when metrics are on) when
+  /// `rec.quarantine_enabled()`, and otherwise fails the loop with its
+  /// exception. Only a loop with a journal drains on a shutdown signal
+  /// (recovery/shutdown.hpp): it stops handing out units, lets the ones in
+  /// flight finish and sets `report->interrupted`; the result is then only
+  /// valid at indices the loop finished, and callers must not reduce it.
   /// \p observers may be empty (unobserved) or one per unit; enabled
-  /// channels are re-armed before every attempt. Instantiated for
-  /// ExecutionResult and WorkloadRunResult. On interruption
-  /// (report->interrupted) the result is only valid at indices the loop
-  /// finished; callers must not reduce it.
+  /// channels are re-armed before every attempt. Whether a unit ran or was
+  /// restored never depends on scheduling. Instantiated for
+  /// ExecutionResult and WorkloadRunResult.
   template <typename Result>
   [[nodiscard]] std::vector<Result> run_journaled(
       std::size_t count, const std::function<Result(std::size_t, obs::TrialObs*)>& run,
@@ -227,14 +187,20 @@ class TrialExecutor {
       const std::string& label, const std::function<std::uint64_t(std::size_t)>& fingerprint,
       recovery::BatchReport* report = nullptr, const TrialProgress& progress = {}) const;
 
-  /// run_batch through run_journaled: each trial is fingerprinted by its
-  /// derived seed, and \p batch_label namespaces the batch's records
-  /// within the journal.
+  /// Run every spec through run_journaled; `result[i]` is spec `i`'s
+  /// outcome, deterministic and thread-count-invariant (see file comment).
+  /// Each trial is fingerprinted by its derived seed, and \p batch_label
+  /// namespaces the batch's records within the journal. \p observers, if
+  /// not empty, holds one observer per spec, already enabled for the
+  /// channels the caller wants; each is touched only by the worker running
+  /// its trial, so merging them in spec order (`MetricSet::merge`) is
+  /// thread-count-invariant like the results. With the defaults the batch
+  /// is a plain loop: no journal, no drain, exceptions propagate.
   [[nodiscard]] std::vector<ExecutionResult> run_batch(
       std::uint64_t root_seed, std::span<const TrialSpec> specs,
-      std::span<obs::TrialObs> observers, const recovery::TrialRecoveryOptions& rec,
-      const std::string& batch_label, recovery::BatchReport* report = nullptr,
-      const TrialProgress& progress = {}) const;
+      std::span<obs::TrialObs> observers = {},
+      const recovery::TrialRecoveryOptions& rec = {}, const std::string& batch_label = {},
+      recovery::BatchReport* report = nullptr, const TrialProgress& progress = {}) const;
 
  private:
   unsigned threads_;

@@ -55,32 +55,29 @@ SimulatedCell simulate_cell(const EfficiencyStudyConfig& config,
   // the record's derived-seed fingerprint guards against a changed one.
   const std::string batch = "s" + std::to_string(si) + ".t" + std::to_string(ti);
 
-  std::vector<ExecutionResult> outcomes;
+  // One observer per trial when observing; metrics on all, trace on trial
+  // 0 only (a full-study trace would drown Perfetto in identical tracks).
+  std::vector<obs::TrialObs> observers;
   if (observing) {
-    // One observer per trial; metrics on all, trace on trial 0 only
-    // (a full-study trace would drown Perfetto in identical tracks).
-    std::vector<obs::TrialObs> observers(specs.size());
+    observers.resize(specs.size());
     for (obs::TrialObs& o : observers) {
       if (config.collect_metrics) o.enable_metrics();
     }
     if (config.collect_trace) observers.front().enable_trace();
-    outcomes = executor.run_batch(config.seed, specs, observers, config.recovery,
-                                  batch, &result.recovery_report);
-    if (config.collect_metrics) {
-      // Merge in spec order: byte-identical for every thread count.
-      for (const obs::TrialObs& o : observers) {
-        result.metrics->merge(*o.metrics());
-        result.technique_metrics[ti].merge(*o.metrics());
-      }
+  }
+  const std::vector<ExecutionResult> outcomes = executor.run_batch(
+      config.seed, specs, observers, config.recovery, batch, &result.recovery_report);
+  if (config.collect_metrics) {
+    // Merge in spec order: byte-identical for every thread count.
+    for (const obs::TrialObs& o : observers) {
+      result.metrics->merge(*o.metrics());
+      result.technique_metrics[ti].merge(*o.metrics());
     }
-    if (config.collect_trace) {
-      result.trace.add_track(
-          fmt_percent(fraction, 0) + " " + to_string(config.techniques[ti]),
-          std::move(*observers.front().trace()));
-    }
-  } else {
-    outcomes = executor.run_batch(config.seed, specs, {}, config.recovery, batch,
-                                  &result.recovery_report);
+  }
+  if (config.collect_trace) {
+    result.trace.add_track(
+        fmt_percent(fraction, 0) + " " + to_string(config.techniques[ti]),
+        std::move(*observers.front().trace()));
   }
 
   // Reduce in trial order: bit-identical for every thread count.
@@ -100,7 +97,7 @@ SimulatedCell simulate_cell(const EfficiencyStudyConfig& config,
 /// whose reported bound exceeds kAutoBoundThreshold. Simulated cells are
 /// byte-identical to the kSim path (same seeds, same batch labels).
 EfficiencyStudyResult run_surrogate_study(const EfficiencyStudyConfig& config,
-                                          const StudyProgress& progress) {
+                                          const TrialProgress& progress) {
   EfficiencyStudyResult result;
   result.config = config;
   const std::size_t sizes = config.size_fractions.size();
@@ -229,7 +226,7 @@ EfficiencyStudyResult run_surrogate_study(const EfficiencyStudyConfig& config,
 }  // namespace
 
 EfficiencyStudyResult run_efficiency_study(const EfficiencyStudyConfig& config,
-                                           const StudyProgress& progress) {
+                                           const TrialProgress& progress) {
   XRES_CHECK(config.trials > 0, "study needs at least one trial");
   XRES_CHECK(!config.size_fractions.empty(), "study needs at least one size");
   XRES_CHECK(!config.techniques.empty(), "study needs at least one technique");

@@ -105,11 +105,9 @@ struct EfficiencyStudyResult {
   [[nodiscard]] Table to_metrics_table() const;
 };
 
-/// Progress callback: (completed cells, total cells). Invoked on the
-/// calling thread, once per finished (size × technique) cell.
-using StudyProgress = TrialProgress;
-
+/// \p progress receives (completed cells, total cells) on the calling
+/// thread, once per finished (size × technique) cell.
 [[nodiscard]] EfficiencyStudyResult run_efficiency_study(
-    const EfficiencyStudyConfig& config, const StudyProgress& progress = {});
+    const EfficiencyStudyConfig& config, const TrialProgress& progress = {});
 
 }  // namespace xres

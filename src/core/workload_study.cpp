@@ -15,7 +15,7 @@ std::string WorkloadCombo::name() const {
 
 std::vector<WorkloadComboResult> run_workload_study(
     const WorkloadStudyConfig& config, const std::vector<WorkloadCombo>& combos,
-    const WorkloadProgress& progress, recovery::BatchReport* report) {
+    const TrialProgress& progress, recovery::BatchReport* report) {
   XRES_CHECK(config.patterns > 0, "study needs at least one pattern");
   XRES_CHECK(!combos.empty(), "study needs at least one combo");
 

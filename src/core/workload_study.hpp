@@ -71,20 +71,17 @@ struct WorkloadComboResult {
   std::vector<WorkloadRunResult> runs;
 };
 
-/// Progress callback: (completed pattern-runs, total pattern-runs).
-/// Invoked from worker threads under the executor's mutex (one invocation
-/// at a time, strictly increasing counts) — see TrialProgress.
-using WorkloadProgress = TrialProgress;
-
 /// Evaluate each combo over the study's patterns. Pattern i is identical
 /// across combos (same generator seed), matching the paper's methodology.
+/// \p progress receives (completed pattern runs, total pattern runs) as
+/// TrialProgress describes.
 /// \p report (optional) receives the crash-safety accounting; when it comes
 /// back `interrupted`, completed runs are valid, the rest reduced as zeros —
 /// callers should print partial progress and exit with
 /// recovery::kExitInterrupted instead of writing figure artifacts.
 [[nodiscard]] std::vector<WorkloadComboResult> run_workload_study(
     const WorkloadStudyConfig& config, const std::vector<WorkloadCombo>& combos,
-    const WorkloadProgress& progress = {}, recovery::BatchReport* report = nullptr);
+    const TrialProgress& progress = {}, recovery::BatchReport* report = nullptr);
 
 /// The Figure-4 combo set: Ideal Baseline plus each scheduler × each
 /// workload technique.

@@ -1,11 +1,9 @@
 #include "study/study_main.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #include "obs/ledger.hpp"
 #include "obs/perf.hpp"
@@ -19,12 +17,35 @@ namespace xres::study {
 
 namespace {
 
-/// Fill in everything about \p record that is only known after the study
-/// ran, then stash it (for the suite's per-cell collection), append it to
-/// the ledger, and print the status banner + wall-clock summary.
+/// finish_run_record for a study run: first the --metrics file's CRC, then
+/// the suite's per-cell stash and the stderr perf line.
+void finish_study_record(obs::RunRecord& record, const obs::PerfCounters& before,
+                         std::chrono::steady_clock::time_point start,
+                         const std::string& metrics_path, const std::string& ledger_path) {
+  if (record.status == 0 && !metrics_path.empty()) {
+    std::ifstream in{metrics_path, std::ios::binary};
+    if (in.good()) {
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      record.metrics_crc = crc32_hex(crc32(buf.str()));
+    }
+  }
+  finish_run_record(record, before, start, ledger_path);
+  obs::set_last_run_record(record);
+  // Wall-clock telemetry is nondeterministic by design, so it goes to
+  // stderr unconditionally (like the progress meter), never into a
+  // captured or byte-compared stream.
+  std::fprintf(stderr,
+               "perf: %.2fs wall, %.1f trials/s, %.0f events/s, peak rss %.1f MiB\n",
+               record.wall_seconds, record.trials_per_second,
+               record.events_per_second,
+               static_cast<double>(record.peak_rss) / (1024.0 * 1024.0));
+}
+
+}  // namespace
+
 void finish_run_record(obs::RunRecord& record, const obs::PerfCounters& before,
                        std::chrono::steady_clock::time_point start,
-                       const std::string& metrics_path, bool ledger_enabled,
                        const std::string& ledger_path) {
   record.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -38,33 +59,13 @@ void finish_run_record(obs::RunRecord& record, const obs::PerfCounters& before,
         static_cast<double>(delta.events_executed) / record.wall_seconds;
   }
   record.peak_rss = obs::peak_rss_bytes();
-  if (record.status == 0 && !metrics_path.empty()) {
-    std::ifstream in{metrics_path, std::ios::binary};
-    if (in.good()) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      record.metrics_crc = crc32_hex(crc32(buf.str()));
-    }
-  }
-
-  obs::set_last_run_record(record);
-  if (ledger_enabled && obs::append_run_record(ledger_path, record)) {
+  if (!ledger_path.empty() && obs::append_run_record(ledger_path, record)) {
     // Deterministic banner: the path only — never the study name, run id or
     // timings, so captured stdout stays byte-identical across runs and
     // between spec-file and compiled-in invocations.
     statusf("run recorded in ledger %s\n", ledger_path.c_str());
   }
-  // Wall-clock telemetry is nondeterministic by design, so it goes to
-  // stderr unconditionally (like the progress meter), never into a
-  // captured or byte-compared stream.
-  std::fprintf(stderr,
-               "perf: %.2fs wall, %.1f trials/s, %.0f events/s, peak rss %.1f MiB\n",
-               record.wall_seconds, record.trials_per_second,
-               record.events_per_second,
-               static_cast<double>(record.peak_rss) / (1024.0 * 1024.0));
 }
-
-}  // namespace
 
 int study_main(const std::string& name, int argc, const char* const* argv) {
   const StudyDefinition* def = StudyRegistry::instance().find(name);
@@ -92,9 +93,6 @@ int run_study(const StudyDefinition& def, ParamSet params, HarnessOptions option
   record.cell = options.run_label;
   record.suite = options.run_suite;
   record.seed = options.seed;
-  record.threads =
-      options.threads != 0 ? options.threads
-                           : std::max(1U, std::thread::hardware_concurrency());
   record.build = build_describe();
   for (const auto& [key, value] : params.values()) {
     record.params.emplace_back(key, value);
@@ -120,13 +118,14 @@ int run_study(const StudyDefinition& def, ParamSet params, HarnessOptions option
     }
   }
 
-  const bool ledger_enabled = options.ledger;
-  const std::string ledger_path = options.ledger_path;
+  const std::string ledger_path = options.ledger ? options.ledger_path : std::string{};
   const std::string metrics_path = options.obs.metrics_path;
   const obs::PerfCounters before = obs::perf_snapshot();
   const auto start = std::chrono::steady_clock::now();
 
   StudyContext ctx{def, std::move(params), std::move(options)};
+  // The workers the run takes: 1 for a definition without --threads.
+  record.threads = ctx.make_executor().threads();
   try {
     record.status = def.run(ctx);
   } catch (const io::IoError& e) {
@@ -135,8 +134,7 @@ int run_study(const StudyDefinition& def, ParamSet params, HarnessOptions option
       // is fsync'd up to the failure, so this is a *resumable* interruption
       // — exit 75, not 1, and tell the user how to finish the run.
       record.status = recovery::kExitInterrupted;
-      finish_run_record(record, before, start, metrics_path, ledger_enabled,
-                        ledger_path);
+      finish_study_record(record, before, start, metrics_path, ledger_path);
       std::fprintf(stderr,
                    "disk full: %s\nre-run with --journal <path> --resume once "
                    "space is available to complete the study (exit %d)\n",
@@ -144,19 +142,16 @@ int run_study(const StudyDefinition& def, ParamSet params, HarnessOptions option
       return recovery::kExitInterrupted;
     }
     record.status = -1;
-    finish_run_record(record, before, start, metrics_path, ledger_enabled,
-                      ledger_path);
+    finish_study_record(record, before, start, metrics_path, ledger_path);
     throw;
   } catch (...) {
     // Record the failed run too (status -1): a crash that leaves no trace
     // is exactly what the ledger exists to prevent.
     record.status = -1;
-    finish_run_record(record, before, start, metrics_path, ledger_enabled,
-                      ledger_path);
+    finish_study_record(record, before, start, metrics_path, ledger_path);
     throw;
   }
-  finish_run_record(record, before, start, metrics_path, ledger_enabled,
-                    ledger_path);
+  finish_study_record(record, before, start, metrics_path, ledger_path);
   return record.status;
 }
 

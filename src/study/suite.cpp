@@ -276,37 +276,23 @@ int run_suite_cells(const std::string& tag, const std::vector<SuiteCell>& cells,
 
   write_manifest(tag, options.out_dir, manifest_extras, results);
 
-  // Wall-clock sidecar + one suite-level ledger record carrying the
-  // manifest's CRC — the (suite, manifest) identity `xres compare` diffs.
-  const double suite_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - suite_start)
-          .count();
-  write_perf_sidecar(tag, options.out_dir, suite_wall, cell_perf);
+  // One suite-level ledger record carrying the manifest's CRC — the
+  // (suite, manifest) identity `xres compare` diffs — and the wall-clock
+  // sidecar.
   obs::RunRecord suite_record;
   suite_record.id = obs::mint_run_id();
   suite_record.study = "suite";
   suite_record.cell = tag;
   suite_record.suite = tag;
-  suite_record.threads = options.threads;
+  suite_record.threads = TrialExecutor{options.threads}.threads();
   suite_record.build = build_describe();
   suite_record.params_digest = obs::params_digest(suite_record.params);
-  const obs::PerfCounters suite_delta = obs::perf_delta(perf_before);
-  suite_record.counters = obs::perf_counter_items(suite_delta);
-  suite_record.wall_seconds = suite_wall;
-  if (suite_wall > 0) {
-    suite_record.trials_per_second =
-        static_cast<double>(suite_delta.trials_executed) / suite_wall;
-    suite_record.events_per_second =
-        static_cast<double>(suite_delta.events_executed) / suite_wall;
-  }
-  suite_record.peak_rss = obs::peak_rss_bytes();
   if (std::string manifest_text;
       read_file(options.out_dir + "/" + kManifestName, manifest_text)) {
     suite_record.manifest_crc = crc32_hex(crc32(manifest_text));
   }
-  if (obs::append_run_record("results/ledger.jsonl", suite_record)) {
-    statusf("run recorded in ledger %s\n", "results/ledger.jsonl");
-  }
+  finish_run_record(suite_record, perf_before, suite_start, "results/ledger.jsonl");
+  write_perf_sidecar(tag, options.out_dir, suite_record.wall_seconds, cell_perf);
 
   std::size_t artifact_count = 0;
   for (const CellResult& r : results) artifact_count += r.artifacts.size();

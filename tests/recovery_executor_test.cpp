@@ -1,8 +1,8 @@
-// Tests for the executor's crash-safety envelope (for_each_controlled and
-// the journaled loop behind run_batch and run_workload_study): resume
-// determinism, stale-record detection, watchdog timeouts, bounded same-seed
-// retry with quarantine, and graceful shutdown draining — the invariants
-// docs/ROBUSTNESS.md promises, for both unit result types.
+// Tests for the executor's crash-safety envelope (run_journaled, the loop
+// behind run_batch and run_workload_study): resume determinism, stale-record
+// detection, watchdog timeouts, bounded same-seed retry with quarantine, and
+// graceful shutdown draining — the invariants docs/ROBUSTNESS.md promises,
+// for both unit result types.
 
 #include "core/executor.hpp"
 
@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -67,130 +68,232 @@ std::vector<TrialSpec> small_specs(std::size_t count) {
   return specs;
 }
 
-TEST(ForEachControlled, PlainLoopBehaviorWhenDefaulted) {
-  const TrialExecutor executor{2};
+/// A result that names its unit: efficiency i + 1.
+ExecutionResult marked(std::size_t i) {
+  ExecutionResult r;
+  r.efficiency = static_cast<double>(i + 1);
+  return r;
+}
+
+/// run_journaled over \p count unobserved units running \p unit, each
+/// fingerprinted by its index, under the batch label "units".
+std::vector<ExecutionResult> run_units(const TrialExecutor& executor, std::size_t count,
+                                       const std::function<ExecutionResult(std::size_t)>& unit,
+                                       const TrialRecoveryOptions& rec,
+                                       BatchReport* report = nullptr) {
+  return executor.run_journaled<ExecutionResult>(
+      count, [&](std::size_t i, obs::TrialObs*) { return unit(i); }, {}, rec, "units",
+      [](std::size_t i) { return std::uint64_t{i}; }, report);
+}
+
+TEST(JournaledLoop, PlainLoopBehaviorWhenDefaulted) {
   std::vector<int> hits(16, 0);
   BatchReport report;
-  executor.for_each_controlled(
-      hits.size(), [&](std::size_t i) { hits[i] = 1; }, TrialLoopControl{}, &report);
+  const std::vector<ExecutionResult> results = run_units(
+      TrialExecutor{2}, hits.size(),
+      [&](std::size_t i) {
+        hits[i] = 1;
+        return marked(i);
+      },
+      {}, &report);
   for (const int h : hits) EXPECT_EQ(h, 1);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].efficiency, marked(i).efficiency);
+  }
   EXPECT_EQ(report.executed, 16U);
   EXPECT_EQ(report.resumed, 0U);
   EXPECT_FALSE(report.interrupted);
 }
 
-TEST(ForEachControlled, AlreadyDoneSkipsAndCounts) {
-  const TrialExecutor executor{2};
+TEST(JournaledLoop, ResumeSkipsJournaledUnitsAndCounts) {
+  const TempPath tmp{"loop_resume_skip.jsonl"};
+  {
+    // A journal holding the even units only.
+    TrialJournal journal{tmp.path, test_meta()};
+    for (std::size_t i = 0; i < 10; i += 2) {
+      recovery::Outcome<ExecutionResult> outcome;
+      outcome.result = marked(i);
+      recovery::JournalRecord record;
+      record.batch = "units";
+      record.index = i;
+      record.seed = i;
+      record.payload = recovery::serialize_outcome(outcome);
+      journal.append(record);
+    }
+  }
+  const ResumeIndex index = ResumeIndex::load(tmp.path, test_meta());
+  TrialRecoveryOptions rec;
+  rec.resume = &index;
   std::vector<int> hits(10, 0);
-  TrialLoopControl control;
-  control.already_done = [](std::size_t i) { return i % 2 == 0; };
   BatchReport report;
-  executor.for_each_controlled(
-      hits.size(), [&](std::size_t i) { hits[i] = 1; }, control, &report);
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], i % 2 == 0 ? 0 : 1);
+  const std::vector<ExecutionResult> results = run_units(
+      TrialExecutor{2}, hits.size(),
+      [&](std::size_t i) {
+        hits[i] = 1;
+        return marked(i);
+      },
+      rec, &report);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], i % 2 == 0 ? 0 : 1) << i;
+    EXPECT_EQ(results[i].efficiency, marked(i).efficiency) << i;
+  }
   EXPECT_EQ(report.executed, 5U);
   EXPECT_EQ(report.resumed, 5U);
 }
 
-TEST(ForEachControlled, RetriesTransientFailuresWithSameIndex) {
-  const TrialExecutor executor{2};
+TEST(JournaledLoop, RetriesTransientFailuresWithSameIndex) {
+  const TempPath tmp{"loop_retries.jsonl"};
   std::vector<std::atomic<int>> attempts(8);
-  TrialLoopControl control;
-  control.trial_attempts = 3;
-  control.quarantine = [](std::size_t, const std::string&) { FAIL(); };
   BatchReport report;
-  executor.for_each_controlled(
-      attempts.size(),
-      [&](std::size_t i) {
-        // Index 5 fails twice, then succeeds within its attempt budget.
-        if (i == 5 && attempts[i].fetch_add(1) < 2) {
-          throw std::runtime_error{"transient"};
-        }
-      },
-      control, &report);
+  {
+    TrialJournal journal{tmp.path, test_meta()};
+    TrialRecoveryOptions rec;
+    rec.journal = &journal;
+    rec.trial_attempts = 3;
+    (void)run_units(
+        TrialExecutor{2}, attempts.size(),
+        [&](std::size_t i) {
+          // Index 5 fails twice, then succeeds within its attempt budget.
+          if (i == 5 && attempts[i].fetch_add(1) < 2) {
+            throw std::runtime_error{"transient"};
+          }
+          return marked(i);
+        },
+        rec, &report);
+  }
   EXPECT_EQ(attempts[5].load(), 3);
   EXPECT_EQ(report.executed, 8U);
   EXPECT_EQ(report.retried, 2U);
   EXPECT_EQ(report.quarantined, 0U);
+  // The journaled outcome records the attempt that succeeded.
+  const ResumeIndex index = ResumeIndex::load(tmp.path, test_meta());
+  const recovery::JournalRecord* record = index.find("units", 5);
+  ASSERT_NE(record, nullptr);
+  const recovery::Outcome<ExecutionResult> outcome =
+      recovery::parse_outcome<ExecutionResult>(record->payload);
+  EXPECT_FALSE(outcome.quarantined);
+  EXPECT_EQ(outcome.attempts, 3U);
+  EXPECT_EQ(outcome.result.efficiency, marked(5).efficiency);
 }
 
-TEST(ForEachControlled, QuarantinesAfterAttemptBudget) {
-  const TrialExecutor executor{2};
-  TrialLoopControl control;
-  control.trial_attempts = 2;
-  std::atomic<std::size_t> quarantined_index{999};
-  std::string reason;
-  control.quarantine = [&](std::size_t i, const std::string& r) {
-    quarantined_index = i;
-    reason = r;  // the hook is serialized by the executor
-  };
+TEST(JournaledLoop, QuarantinesAfterAttemptBudget) {
+  const TempPath tmp{"loop_quarantine.jsonl"};
   BatchReport report;
-  executor.for_each_controlled(
-      6,
-      [&](std::size_t i) {
-        if (i == 3) throw std::runtime_error{"deterministic model bug"};
-      },
-      control, &report);
-  EXPECT_EQ(quarantined_index.load(), 3U);
-  EXPECT_NE(reason.find("deterministic model bug"), std::string::npos);
+  std::vector<ExecutionResult> results;
+  {
+    TrialJournal journal{tmp.path, test_meta()};
+    TrialRecoveryOptions rec;
+    rec.journal = &journal;
+    rec.trial_attempts = 2;
+    results = run_units(
+        TrialExecutor{2}, 6,
+        [&](std::size_t i) {
+          if (i == 3) throw std::runtime_error{"deterministic model bug"};
+          return marked(i);
+        },
+        rec, &report);
+  }
   EXPECT_EQ(report.executed, 5U);
   EXPECT_EQ(report.retried, 1U);
   EXPECT_EQ(report.quarantined, 1U);
+  EXPECT_EQ(results[3].efficiency, 0.0);  // the Result{} placeholder
+  EXPECT_EQ(results[4].efficiency, marked(4).efficiency);
+  const ResumeIndex index = ResumeIndex::load(tmp.path, test_meta());
+  EXPECT_EQ(index.size(), 6U);
+  const recovery::JournalRecord* record = index.find("units", 3);
+  ASSERT_NE(record, nullptr);
+  const recovery::Outcome<ExecutionResult> outcome =
+      recovery::parse_outcome<ExecutionResult>(record->payload);
+  EXPECT_TRUE(outcome.quarantined);
+  EXPECT_NE(outcome.quarantine_reason.find("deterministic model bug"), std::string::npos);
+  EXPECT_EQ(outcome.attempts, 2U);
 }
 
-TEST(ForEachControlled, WithoutQuarantineExceptionsPropagate) {
-  // Historical behavior: no hook, no retries — the failure fails the loop.
-  const TrialExecutor executor{2};
-  EXPECT_THROW(
-      executor.for_each_controlled(
-          4,
-          [](std::size_t i) {
-            if (i == 1) throw std::runtime_error{"boom"};
-          },
-          TrialLoopControl{}),
-      std::runtime_error);
+TEST(JournaledLoop, WithoutQuarantineExceptionsPropagate) {
+  // Historical behavior: one attempt, no watchdog — the failure fails the
+  // loop, and the units that finished are still accounted.
+  BatchReport report;
+  EXPECT_THROW((void)run_units(
+                   TrialExecutor{2}, 4,
+                   [](std::size_t i) {
+                     if (i == 1) throw std::runtime_error{"boom"};
+                     return marked(i);
+                   },
+                   {}, &report),
+               std::runtime_error);
+  EXPECT_EQ(report.quarantined, 0U);
+  EXPECT_LT(report.executed, 4U);
 }
 
-TEST(ForEachControlled, WatchdogAbortsHungUnitThenRetrySucceeds) {
-  const TrialExecutor executor{2};
-  TrialLoopControl control;
-  control.trial_timeout_seconds = 0.1;
-  control.trial_attempts = 2;
-  control.quarantine = [](std::size_t, const std::string&) {};
+TEST(JournaledLoop, WatchdogAbortsHungUnitThenRetrySucceeds) {
+  TrialRecoveryOptions rec;
+  rec.trial_timeout_seconds = 0.1;
+  rec.trial_attempts = 2;
   std::atomic<int> first_attempt{1};
   BatchReport report;
-  executor.for_each_controlled(
-      3,
+  const std::vector<ExecutionResult> results = run_units(
+      TrialExecutor{2}, 3,
       [&](std::size_t i) {
         if (i == 1 && first_attempt.exchange(0) == 1) {
           // A diverged trial: spins forever, but polls the deadline the way
           // the sim engine does. The armed watchdog must unwind it.
           while (true) deadline_poll();
         }
+        return marked(i);
       },
-      control, &report);
+      rec, &report);
   EXPECT_EQ(report.executed, 3U);
   EXPECT_EQ(report.retried, 1U);
   EXPECT_EQ(report.quarantined, 0U);
+  EXPECT_EQ(results[1].efficiency, marked(1).efficiency);
 }
 
-TEST(ForEachControlled, DrainsOnShutdownSignal) {
+TEST(JournaledLoop, DrainsOnShutdownSignal) {
+  const TempPath tmp{"loop_drain.jsonl"};
   recovery::clear_shutdown_for_tests();
   recovery::request_shutdown_for_tests();
-  const TrialExecutor executor{2};
   std::atomic<std::size_t> ran{0};
   BatchReport report;
-  executor.for_each_controlled(
-      64, [&](std::size_t) { ran.fetch_add(1); }, TrialLoopControl{}, &report);
+  {
+    TrialJournal journal{tmp.path, test_meta()};
+    TrialRecoveryOptions rec;
+    rec.journal = &journal;
+    (void)run_units(
+        TrialExecutor{2}, 64,
+        [&](std::size_t i) {
+          ran.fetch_add(1);
+          return marked(i);
+        },
+        rec, &report);
+  }
   EXPECT_TRUE(report.interrupted);
   EXPECT_EQ(ran.load(), report.executed);
   EXPECT_LT(report.executed, 64U);
 
   // Plain for_each never drains: its callers reduce the full result vector.
   std::atomic<std::size_t> plain{0};
-  executor.for_each(16, [&](std::size_t) { plain.fetch_add(1); });
+  TrialExecutor{2}.for_each(16, [&](std::size_t) { plain.fetch_add(1); });
   EXPECT_EQ(plain.load(), 16U);
   recovery::clear_shutdown_for_tests();
+}
+
+TEST(JournaledLoop, BatchWithoutJournalIgnoresShutdownSignal) {
+  // Nothing could resume the units an unjournaled batch left undone, so it
+  // fills every slot even with a shutdown requested.
+  const std::vector<TrialSpec> specs = small_specs(6);
+  const std::vector<ExecutionResult> reference = TrialExecutor{1}.run_batch(7, specs);
+  recovery::clear_shutdown_for_tests();
+  recovery::request_shutdown_for_tests();
+  BatchReport report;
+  const std::vector<ExecutionResult> results =
+      TrialExecutor{2}.run_batch(7, specs, {}, {}, "batch", &report);
+  recovery::clear_shutdown_for_tests();
+  EXPECT_FALSE(report.interrupted);
+  EXPECT_EQ(report.executed, specs.size());
+  ASSERT_EQ(results.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(results[i].efficiency, reference[i].efficiency) << "trial " << i;
+  }
 }
 
 TEST(ControlledRunBatch, JournalThenResumeIsByteIdentical) {

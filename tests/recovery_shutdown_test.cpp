@@ -84,24 +84,24 @@ TEST_F(ShutdownTest, FirstSignalOfEitherKindDrains) {
 }
 
 TEST_F(ShutdownTest, DrainStillFlushesJournal) {
-  // A shutdown arrives mid-batch: the executor drains in-flight trials and
-  // the journal must still land every completed record on disk — that is
-  // the whole point of exiting 75 instead of dying.
+  // A shutdown arrives mid-batch: the journaled loop drains in-flight units
+  // and the journal must still land every completed record on disk — that
+  // is the whole point of exiting 75 instead of dying.
   const TempPath tmp{"xres_shutdown_drain.jsonl"};
   recovery::clear_shutdown_for_tests();
   {
     TrialJournal journal{tmp.path, test_meta(), /*flush_every=*/1000};
-    const TrialExecutor executor{2};
-    std::atomic<std::uint64_t> next{0};
+    recovery::TrialRecoveryOptions rec;
+    rec.journal = &journal;
+    std::atomic<std::uint64_t> started{0};
     recovery::BatchReport report;
-    executor.for_each_controlled(
+    (void)TrialExecutor{2}.run_journaled<ExecutionResult>(
         64,
-        [&](std::size_t) {
-          const std::uint64_t index = next.fetch_add(1);
-          if (index == 4) recovery::request_shutdown_for_tests();
-          journal.append(make_record(index));
+        [&](std::size_t, obs::TrialObs*) {
+          if (started.fetch_add(1) == 4) recovery::request_shutdown_for_tests();
+          return ExecutionResult{};
         },
-        TrialLoopControl{}, &report);
+        {}, rec, "b", [](std::size_t i) { return std::uint64_t{500 + i}; }, &report);
     EXPECT_TRUE(report.interrupted);
     EXPECT_LT(report.executed, 64U);
     EXPECT_EQ(journal.appended(), report.executed);

@@ -13,10 +13,12 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "study/capture.hpp"
 #include "study/options.hpp"
 #include "study/registry.hpp"
+#include "study/runlog.hpp"
 #include "study/study_main.hpp"
 
 namespace xres::study {
@@ -109,6 +111,29 @@ TEST(StudySmoke, RunLeavesTheWorkingDirectoryLedgerAlone) {
   ASSERT_EQ(run_smoke(*def, 1).exit_code, 0);
   EXPECT_EQ(std::filesystem::exists(ledger), existed);
   EXPECT_EQ(read_file(ledger), before);
+}
+
+// The ledger records the workers a run took: a definition without
+// --threads runs on one, whatever the harness options ask for.
+TEST(StudySmoke, LedgerRecordsTheWorkersTheRunUsed) {
+  const std::string ledger = ::testing::TempDir() + "smoke_ledger_threads.jsonl";
+  std::remove(ledger.c_str());
+  const StudyDefinition* def = StudyRegistry::instance().find("table1_app_types");
+  ASSERT_NE(def, nullptr);
+  ASSERT_FALSE(def->options.threads);
+  ASSERT_EQ(run_smoke(*def, 1, "2",
+                      [&](HarnessOptions& options) {
+                        options.threads = 4;
+                        options.ledger = true;
+                        options.ledger_path = ledger;
+                      })
+                .exit_code,
+            0);
+  const std::vector<obs::RunRecord> records = load_ledger(ledger);
+  std::remove(ledger.c_str());
+  ASSERT_EQ(records.size(), 1U);
+  EXPECT_EQ(records.front().threads, 1U);
+  EXPECT_NE(obs::to_ledger_json(records.front()).find("\"threads\":1"), std::string::npos);
 }
 
 // Fast tier-1 subset: one study per harness shape — static table, figure

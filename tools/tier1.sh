@@ -16,11 +16,23 @@
 # reference and the surrogate (tier-1 ctest runs fast subsets; see
 # tests/study_smoke_test.cpp and tests/surrogate_diff_test.cpp). Each
 # stage prints its wall time.
+#
+# The stages that run xres do so from a scratch directory: `xres suite` and
+# `xres sweep` always append to results/ledger.jsonl under the working
+# directory, and the other studies do too without --no-ledger/--ledger.
+# Before the benchmark stage the script checks that the checkout's own
+# results/ledger.jsonl is byte-for-byte what it was, or still absent.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-BUILD="${1:-build}"
-TSAN_BUILD="${2:-build-tsan}"
+ROOT="$PWD"
+BUILD="$(realpath -m "${1:-build}")"
+TSAN_BUILD="$(realpath -m "${2:-build-tsan}")"
+OBS_TMP="$(mktemp -d)"
+trap 'rm -rf "$OBS_TMP"' EXIT
+if [[ -e results/ledger.jsonl ]]; then
+  cp results/ledger.jsonl "$OBS_TMP/checkout-ledger.jsonl"
+fi
 
 # Per-stage wall time: call `stage_done <name>` at the end of each stage so
 # a slow tier-1 run says where the minutes went.
@@ -44,13 +56,15 @@ cmake -B "$TSAN_BUILD" -S . -DXRES_TSAN=ON \
 cmake --build "$TSAN_BUILD" -j "$(nproc)"
 stage_done tsan-build
 ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-  -R "TrialExecutor|Integration|Obs|SimOracle|Surrogate|ForEachControlled|ControlledRunBatch|ShutdownTest|WorkloadStudy"
+  -R "TrialExecutor|Integration|Obs|SimOracle|Surrogate|JournaledLoop|ControlledRunBatch|ShutdownTest|WorkloadStudy"
 stage_done tsan-ctest
+
+# From here to the catalog stage every xres run appends its ledger records
+# under the scratch directory, never to the checkout's.
+cd "$OBS_TMP"
 
 # Observability smoke under TSAN: a threaded study with per-trial metrics
 # and tracing enabled exercises the observer hand-off between workers.
-OBS_TMP="$(mktemp -d)"
-trap 'rm -rf "$OBS_TMP"' EXIT
 "$TSAN_BUILD"/tools/xres efficiency --type A32 --trials 4 --threads 4 \
   --metrics "$OBS_TMP/m.json" --trace "$OBS_TMP/t.json" --log-level info \
   > /dev/null
@@ -556,6 +570,8 @@ surrogate_check() {
 surrogate_check
 stage_done surrogate
 
+cd "$ROOT"
+
 # Catalog stage (docs/STUDIES.md): the committed catalog is the output of
 # `xres list --markdown`; a study registration change must regenerate it.
 "$BUILD"/tools/xres list --markdown | diff - docs/STUDIES.md
@@ -573,6 +589,18 @@ if [[ "${XRES_SMOKE_ALL:-0}" == "1" ]]; then
     --gtest_filter='StudySmoke.FullCatalog*:SurrogateDiff.*:SurrogateProperty.*'
   stage_done smoke-all
 fi
+
+# Checkout-ledger stage: no stage above may have written the checkout's run
+# ledger. It runs ahead of the benchmark stage, so a failing benchmark
+# self-test does not hide its result.
+if [[ -e "$OBS_TMP/checkout-ledger.jsonl" ]]; then
+  cmp "$OBS_TMP/checkout-ledger.jsonl" results/ledger.jsonl
+elif [[ -e results/ledger.jsonl ]]; then
+  echo "checkout ledger: tier-1 created results/ledger.jsonl" >&2
+  exit 1
+fi
+echo "checkout ledger: OK (results/ledger.jsonl untouched)"
+stage_done checkout-ledger
 
 # Benchmark stage (BENCHMARK.json): the benchmark's self-test runs every
 # workload at small sizes with its output and thread-invariance checks.
