@@ -9,6 +9,7 @@
 #include "core/single_app_study.hpp"
 #include "core/workload_study.hpp"
 #include "study/context.hpp"
+#include "study/figure.hpp"
 #include "study/platform_params.hpp"
 #include "study/registry.hpp"
 #include "util/barchart.hpp"
@@ -18,15 +19,15 @@ namespace {
 
 int run_efficiency_adhoc(StudyContext& ctx) {
   EfficiencyStudyConfig config;
-  config.app_type = app_type_by_name(ctx.params().str("type"));
-  config.resilience.node_mtbf = Duration::years(ctx.params().real("mtbf-years"));
-  config.baseline = Duration::hours(ctx.params().real("baseline-hours"));
-  config.trials = ctx.params().u32("trials");
   try {
-    config.surrogate = surrogate_mode_from_string(ctx.params().str("surrogate"));
+    config.app_type = app_type_by_name(ctx.params().str("type"));
   } catch (const CheckError& e) {
     usage_error_from(e);
   }
+  config.surrogate = surrogate_param(ctx.params());
+  config.resilience.node_mtbf = Duration::years(ctx.params().real("mtbf-years"));
+  config.baseline = Duration::hours(ctx.params().real("baseline-hours"));
+  config.trials = ctx.params().u32("trials");
   config.seed = ctx.seed();
   config.threads = ctx.threads();
   apply_platform_params(config.machine, ctx.params());
@@ -73,6 +74,17 @@ int run_efficiency_adhoc(StudyContext& ctx) {
 
 int run_workload_adhoc(StudyContext& ctx) {
   WorkloadStudyConfig config;
+  WorkloadCombo combo;
+  try {
+    config.workload.bias = workload_bias_from_string(ctx.params().str("bias"));
+    combo.scheduler = scheduler_from_string(ctx.params().str("scheduler"));
+    const std::string technique = ctx.params().str("technique");
+    combo.policy = technique == "selection" ? TechniquePolicy::selection()
+                   : technique == "none"    ? TechniquePolicy::ideal_baseline()
+                   : TechniquePolicy::fixed_technique(technique_from_string(technique));
+  } catch (const CheckError& e) {
+    usage_error_from(e);
+  }
   config.patterns = ctx.params().u32("patterns");
   config.seed = ctx.seed();
   config.threads = ctx.threads();
@@ -80,18 +92,6 @@ int run_workload_adhoc(StudyContext& ctx) {
   const ObsOptions& obs = ctx.options().obs;
   config.collect_metrics = obs.metrics();
   config.resilience.node_mtbf = Duration::years(ctx.params().real("mtbf-years"));
-  const std::string bias = ctx.params().str("bias");
-  for (WorkloadBias b : {WorkloadBias::kUnbiased, WorkloadBias::kHighMemory,
-                         WorkloadBias::kHighCommunication, WorkloadBias::kLargeApps}) {
-    if (bias == to_string(b)) config.workload.bias = b;
-  }
-
-  WorkloadCombo combo;
-  combo.scheduler = scheduler_from_string(ctx.params().str("scheduler"));
-  const std::string technique = ctx.params().str("technique");
-  combo.policy = technique == "selection" ? TechniquePolicy::selection()
-                 : technique == "none"    ? TechniquePolicy::ideal_baseline()
-                 : TechniquePolicy::fixed_technique(technique_from_string(technique));
 
   RecoveryCoordinator& rec = ctx.recovery();
   config.recovery = rec.options();
@@ -132,10 +132,7 @@ StudyDefinition make_efficiency() {
   def.params.real("mtbf-years", "per-node MTBF", 10).min(0.001);
   def.params.integer("trials", "trials per cell", 50).min(1);
   def.params.real("baseline-hours", "delay-free execution time", 24).min(0.001);
-  def.params.text("surrogate",
-                  "sim | analytic | auto — answer cells from the analytic "
-                  "surrogate with a per-cell error bound (docs/STUDIES.md)",
-                  "sim");
+  add_surrogate_param(def.params);
   def.run = run_efficiency_adhoc;
   return def;
 }

@@ -17,6 +17,14 @@ const char* to_string(WorkloadBias bias) {
   return "?";
 }
 
+WorkloadBias workload_bias_from_string(const std::string& name) {
+  for (WorkloadBias bias : {WorkloadBias::kUnbiased, WorkloadBias::kHighMemory,
+                            WorkloadBias::kHighCommunication, WorkloadBias::kLargeApps}) {
+    if (name == to_string(bias)) return bias;
+  }
+  XRES_CHECK(false, "unknown workload bias: " + name);
+}
+
 void WorkloadConfig::validate() const {
   XRES_CHECK(machine_nodes > 0, "workload needs a machine");
   XRES_CHECK(arrival_count > 0, "workload needs arrivals");

@@ -30,6 +30,9 @@ enum class WorkloadBias {
 
 [[nodiscard]] const char* to_string(WorkloadBias bias);
 
+/// Parse a to_string(WorkloadBias) name; throws CheckError otherwise.
+[[nodiscard]] WorkloadBias workload_bias_from_string(const std::string& name);
+
 /// Tunable pattern parameters (paper defaults built in).
 struct WorkloadConfig {
   std::uint32_t machine_nodes{120000};

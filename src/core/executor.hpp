@@ -66,9 +66,6 @@ struct SingleAppTrialConfig {
   MachineSpec machine{};
   ResilienceConfig resilience{};
   FailureDistribution failure_distribution{FailureDistribution::exponential()};
-
-  friend bool operator==(const SingleAppTrialConfig&,
-                         const SingleAppTrialConfig&) = default;
 };
 
 /// Execute an explicit (possibly hand-modified) plan under its own failure

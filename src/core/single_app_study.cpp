@@ -30,20 +30,14 @@ SingleAppTrialConfig cell_trial(const EfficiencyStudyConfig& config, const AppSp
   return trial;
 }
 
-struct SimulatedCell {
-  Summary efficiency;
-  double mean_failures{0.0};
-};
-
-/// One simulated (size × technique) cell, exactly as the historical study
-/// loop ran it: one batch with per-trial seeds derive_seed(seed, si, ti, t)
-/// and journal label "s<si>.t<ti>", observers when requested, reduction in
-/// trial order (bit-identical for every thread count).
-SimulatedCell simulate_cell(const EfficiencyStudyConfig& config,
-                            const TrialExecutor& executor,
-                            const SingleAppTrialConfig& trial, double fraction,
-                            std::size_t si, std::size_t ti,
-                            EfficiencyStudyResult& result) {
+/// One simulated (size × technique) cell into result.efficiency[si][ti] and
+/// result.mean_failures[si][ti]: one batch with per-trial seeds
+/// derive_seed(seed, si, ti, t) and journal label "s<si>.t<ti>", observers
+/// when requested, reduction in trial order (bit-identical for every
+/// thread count).
+void simulate_cell(const TrialExecutor& executor, const SingleAppTrialConfig& trial,
+                   std::size_t si, std::size_t ti, EfficiencyStudyResult& result) {
+  const EfficiencyStudyConfig& config = result.config;
   const bool observing = config.collect_metrics || config.collect_trace;
 
   std::vector<TrialSpec> specs;
@@ -76,7 +70,7 @@ SimulatedCell simulate_cell(const EfficiencyStudyConfig& config,
   }
   if (config.collect_trace) {
     result.trace.add_track(
-        fmt_percent(fraction, 0) + " " + to_string(config.techniques[ti]),
+        fmt_percent(config.size_fractions[si], 0) + " " + to_string(config.techniques[ti]),
         std::move(*observers.front().trace()));
   }
 
@@ -87,140 +81,21 @@ SimulatedCell simulate_cell(const EfficiencyStudyConfig& config,
     efficiency.add(r.efficiency);
     failures.add(static_cast<double>(r.failures_seen));
   }
-  return {efficiency.summary(), failures.empty() ? 0.0 : failures.mean()};
+  result.efficiency[si][ti] = efficiency.summary();
+  result.mean_failures[si][ti] = failures.empty() ? 0.0 : failures.mean();
 }
 
-/// The surrogate study loop (config.surrogate != kSim): simulate the
-/// anchor sizes (endpoints + every second interior point), answer interior
-/// cells from the analytic prediction corrected by the interpolated anchor
-/// residual, and — in auto mode — fall back to full simulation for cells
-/// whose reported bound exceeds kAutoBoundThreshold. Simulated cells are
-/// byte-identical to the kSim path (same seeds, same batch labels).
-EfficiencyStudyResult run_surrogate_study(const EfficiencyStudyConfig& config,
-                                          const TrialProgress& progress) {
-  EfficiencyStudyResult result;
-  result.config = config;
-  const std::size_t sizes = config.size_fractions.size();
-  const std::size_t techs = config.techniques.size();
-  const std::size_t total_cells = sizes * techs;
-  std::size_t done_cells = 0;
-
-  const TrialExecutor executor{config.threads};
-  if (config.collect_metrics) {
-    result.metrics.emplace();
-    result.technique_metrics.resize(techs);
-  }
-  // Observed or journaled trials have per-trial side effects a memo hit
-  // would skip; bypass the anchor memo entirely for those runs.
-  const bool memoizable = !config.collect_metrics && !config.collect_trace &&
-                          !config.recovery.active();
-
-  result.efficiency.assign(sizes, std::vector<Summary>(techs));
-  result.mean_failures.assign(sizes, std::vector<double>(techs, 0.0));
-  result.surrogate_cells.assign(sizes, std::vector<SurrogateCell>(techs));
-
-  // Closed-form predictions for every cell, and the anchor grid.
-  std::vector<AppSpec> apps;
-  apps.reserve(sizes);
-  for (double fraction : config.size_fractions) apps.push_back(cell_app(config, fraction));
-  std::vector<std::vector<SurrogateAnchor>> anchors(sizes);
-  std::uint64_t hits = 0;
-  std::uint64_t fallbacks = 0;
-
-  const auto simulate = [&](std::size_t si, std::size_t ti) -> SimulatedCell {
-    const SingleAppTrialConfig trial = cell_trial(config, apps[si], ti);
-    return simulate_cell(config, executor, trial, config.size_fractions[si], si, ti,
-                         result);
-  };
-
-  // Pass 1: anchors (memoized when side-effect free).
-  for (std::size_t si = 0; si < sizes; ++si) {
-    if (!surrogate_anchor_index(si, sizes)) continue;
-    anchors[si].resize(techs);
-    for (std::size_t ti = 0; ti < techs; ++ti) {
-      const SingleAppTrialConfig trial = cell_trial(config, apps[si], ti);
-      const ExecutionPlan plan =
-          make_plan(trial.technique, trial.app, trial.machine, trial.resilience);
-      const double analytic = predict_efficiency(plan, trial.resilience);
-
-      const SurrogateCellKey key{trial, config.seed, si, ti, config.trials};
-      std::optional<SurrogateAnchor> memo =
-          memoizable ? surrogate_memo_find(key) : std::nullopt;
-      SurrogateAnchor anchor;
-      if (memo.has_value()) {
-        anchor = *memo;
-      } else {
-        const SimulatedCell cell = simulate(si, ti);
-        anchor.fraction = config.size_fractions[si];
-        anchor.analytic = analytic;
-        anchor.mean = cell.efficiency.mean;
-        anchor.sem = cell.efficiency.count > 0
-                         ? cell.efficiency.stddev /
-                               std::sqrt(static_cast<double>(cell.efficiency.count))
-                         : 0.0;
-        anchor.mean_failures = cell.mean_failures;
-        result.efficiency[si][ti] = cell.efficiency;
-        if (memoizable) surrogate_memo_store(key, anchor);
-      }
-      if (memo.has_value()) {
-        // Anchor restored from the memo: report the memoized statistics
-        // (count 0 marks it as not re-simulated in this run's CSV).
-        result.efficiency[si][ti] = Summary{};
-        result.efficiency[si][ti].mean = anchor.mean;
-      }
-      anchors[si][ti] = anchor;
-      result.mean_failures[si][ti] = anchor.mean_failures;
-      SurrogateCell& cell = result.surrogate_cells[si][ti];
-      cell.simulated = true;
-      cell.anchor = true;
-      cell.analytic = analytic;
-      cell.predicted = anchor.mean;
-      cell.bound = 2.0 * anchor.sem;
-      ++done_cells;
-      if (progress) progress(done_cells, total_cells);
-    }
-  }
-
-  // Pass 2: interior cells, interpolated between the bracketing anchors.
-  for (std::size_t si = 0; si < sizes; ++si) {
-    if (surrogate_anchor_index(si, sizes)) continue;
-    std::size_t lo = si;
-    while (lo > 0 && !surrogate_anchor_index(--lo, sizes)) {}
-    std::size_t hi = si;
-    while (hi + 1 < sizes && !surrogate_anchor_index(++hi, sizes)) {}
-    for (std::size_t ti = 0; ti < techs; ++ti) {
-      const SingleAppTrialConfig trial = cell_trial(config, apps[si], ti);
-      const ExecutionPlan plan =
-          make_plan(trial.technique, trial.app, trial.machine, trial.resilience);
-      const double analytic = predict_efficiency(plan, trial.resilience);
-      const SurrogateEstimate est = surrogate_estimate(
-          anchors[lo][ti], anchors[hi][ti], config.size_fractions[si], analytic);
-
-      SurrogateCell& cell = result.surrogate_cells[si][ti];
-      cell.analytic = analytic;
-      cell.predicted = est.predicted;
-      cell.bound = est.bound;
-      if (config.surrogate == SurrogateMode::kAuto && est.bound > kAutoBoundThreshold) {
-        const SimulatedCell sim = simulate(si, ti);
-        cell.simulated = true;
-        cell.fallback = true;
-        result.efficiency[si][ti] = sim.efficiency;
-        result.mean_failures[si][ti] = sim.mean_failures;
-        ++fallbacks;
-      } else {
-        cell.simulated = false;
-        result.efficiency[si][ti] = Summary{};
-        result.efficiency[si][ti].mean = est.predicted;
-        result.mean_failures[si][ti] = est.mean_failures;
-        ++hits;
-      }
-      ++done_cells;
-      if (progress) progress(done_cells, total_cells);
-    }
-  }
-
-  obs::perf_add_surrogate(hits, fallbacks);
-  return result;
+/// The simulated anchor cell (si, ti) as the interpolation reads it.
+SurrogateAnchor anchor_at(const EfficiencyStudyResult& result, std::size_t si,
+                          std::size_t ti) {
+  const Summary& s = result.efficiency[si][ti];
+  SurrogateAnchor anchor;
+  anchor.fraction = result.config.size_fractions[si];
+  anchor.analytic = result.surrogate_cells[si][ti].analytic;
+  anchor.mean = s.mean;
+  anchor.sem = s.count > 0 ? s.stddev / std::sqrt(static_cast<double>(s.count)) : 0.0;
+  anchor.mean_failures = result.mean_failures[si][ti];
+  return anchor;
 }
 
 }  // namespace
@@ -231,39 +106,77 @@ EfficiencyStudyResult run_efficiency_study(const EfficiencyStudyConfig& config,
   XRES_CHECK(!config.size_fractions.empty(), "study needs at least one size");
   XRES_CHECK(!config.techniques.empty(), "study needs at least one technique");
 
-  if (config.surrogate != SurrogateMode::kSim) {
-    return run_surrogate_study(config, progress);
-  }
-
   EfficiencyStudyResult result;
   result.config = config;
-  const std::size_t total_cells =
-      config.size_fractions.size() * config.techniques.size();
+  const std::size_t sizes = config.size_fractions.size();
+  const std::size_t techs = config.techniques.size();
+  const bool surrogate = config.surrogate != SurrogateMode::kSim;
   std::size_t done_cells = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t fallbacks = 0;
 
   const TrialExecutor executor{config.threads};
-
   if (config.collect_metrics) {
     result.metrics.emplace();
-    result.technique_metrics.resize(config.techniques.size());
+    result.technique_metrics.resize(techs);
   }
+  result.efficiency.assign(sizes, std::vector<Summary>(techs));
+  result.mean_failures.assign(sizes, std::vector<double>(techs, 0.0));
+  if (surrogate) result.surrogate_cells.assign(sizes, std::vector<SurrogateCell>(techs));
 
-  for (std::size_t si = 0; si < config.size_fractions.size(); ++si) {
-    const double fraction = config.size_fractions[si];
-    const AppSpec app = cell_app(config, fraction);
-
-    result.efficiency.emplace_back();
-    result.mean_failures.emplace_back();
-    for (std::size_t ti = 0; ti < config.techniques.size(); ++ti) {
-      const SingleAppTrialConfig trial = cell_trial(config, app, ti);
-      const SimulatedCell cell =
-          simulate_cell(config, executor, trial, fraction, si, ti, result);
-      result.efficiency[si].push_back(cell.efficiency);
-      result.mean_failures[si].push_back(cell.mean_failures);
-      ++done_cells;
-      if (progress) progress(done_cells, total_cells);
+  // Pass 0 simulates every cell in sim mode, and only the anchor sizes in
+  // the surrogate modes. Pass 1 (surrogate modes only) answers each
+  // interior cell from the anchors one size below and above it, or, in
+  // auto mode, simulates it when that answer's bound is too wide.
+  // Simulated cells run in this order whatever the mode, with the same
+  // seeds and batch labels.
+  for (int pass = 0; pass < (surrogate ? 2 : 1); ++pass) {
+    for (std::size_t si = 0; si < sizes; ++si) {
+      const bool interior = surrogate && !surrogate_anchor_index(si, sizes);
+      if (interior != (pass == 1)) continue;
+      const AppSpec app = cell_app(config, config.size_fractions[si]);
+      for (std::size_t ti = 0; ti < techs; ++ti) {
+        const SingleAppTrialConfig trial = cell_trial(config, app, ti);
+        bool simulate = true;
+        if (surrogate) {
+          SurrogateCell& cell = result.surrogate_cells[si][ti];
+          cell.analytic = predict_efficiency(
+              make_plan(trial.technique, trial.app, trial.machine, trial.resilience),
+              trial.resilience);
+          if (interior) {
+            const SurrogateEstimate est =
+                surrogate_estimate(anchor_at(result, si - 1, ti), anchor_at(result, si + 1, ti),
+                                   config.size_fractions[si], cell.analytic);
+            simulate = config.surrogate == SurrogateMode::kAuto &&
+                       est.bound > kAutoBoundThreshold;
+            cell.simulated = simulate;
+            cell.fallback = simulate;
+            cell.predicted = est.predicted;
+            cell.bound = est.bound;
+            if (simulate) {
+              ++fallbacks;
+            } else {
+              ++hits;
+              result.efficiency[si][ti].mean = est.predicted;
+              result.mean_failures[si][ti] = est.mean_failures;
+            }
+          }
+        }
+        if (simulate) simulate_cell(executor, trial, si, ti, result);
+        if (surrogate && !interior) {
+          // An anchor predicts itself, to within twice its standard error.
+          const SurrogateAnchor anchor = anchor_at(result, si, ti);
+          SurrogateCell& cell = result.surrogate_cells[si][ti];
+          cell.anchor = true;
+          cell.predicted = anchor.mean;
+          cell.bound = 2.0 * anchor.sem;
+        }
+        ++done_cells;
+        if (progress) progress(done_cells, sizes * techs);
+      }
     }
   }
+  obs::perf_add_surrogate(hits, fallbacks);
   return result;
 }
 

@@ -1,9 +1,7 @@
 #include "core/surrogate.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <mutex>
-#include <utility>
-#include <vector>
 
 #include "util/check.hpp"
 
@@ -45,37 +43,6 @@ SurrogateEstimate surrogate_estimate(const SurrogateAnchor& a, const SurrogateAn
               kBoundSpanMargin * (b.fraction - a.fraction) * (b.fraction - a.fraction);
   est.mean_failures = (1.0 - t) * a.mean_failures + t * b.mean_failures;
   return est;
-}
-
-namespace {
-
-struct AnchorMemo {
-  std::mutex mutex;
-  std::vector<std::pair<SurrogateCellKey, SurrogateAnchor>> entries;
-};
-
-AnchorMemo& anchor_memo() {
-  static AnchorMemo memo;
-  return memo;
-}
-
-}  // namespace
-
-std::optional<SurrogateAnchor> surrogate_memo_find(const SurrogateCellKey& key) {
-  AnchorMemo& memo = anchor_memo();
-  const std::lock_guard<std::mutex> lock{memo.mutex};
-  for (const auto& [stored, anchor] : memo.entries) {
-    if (stored == key) return anchor;
-  }
-  return std::nullopt;
-}
-
-void surrogate_memo_store(const SurrogateCellKey& key, const SurrogateAnchor& anchor) {
-  // A racing duplicate is harmless: equal keys simulate equal anchors, and
-  // find returns the first.
-  AnchorMemo& memo = anchor_memo();
-  const std::lock_guard<std::mutex> lock{memo.mutex};
-  memo.entries.emplace_back(key, anchor);
 }
 
 }  // namespace xres

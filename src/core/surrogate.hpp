@@ -28,11 +28,8 @@
 /// the flat floor; the sem term covers the anchors themselves
 /// being sample means.
 
-#include <cstdint>
-#include <optional>
+#include <cstddef>
 #include <string>
-
-#include "core/executor.hpp"
 
 namespace xres {
 
@@ -98,27 +95,5 @@ struct SurrogateEstimate {
 [[nodiscard]] SurrogateEstimate surrogate_estimate(const SurrogateAnchor& a,
                                                    const SurrogateAnchor& b,
                                                    double fraction, double analytic);
-
-/// One anchor cell: the whole trial configuration plus what seeds its
-/// batch (root seed, cell indices, trial count). Two cells share a memo
-/// entry only when every field compares equal.
-struct SurrogateCellKey {
-  SingleAppTrialConfig trial;
-  std::uint64_t seed{0};
-  std::size_t size_index{0};
-  std::size_t technique_index{0};
-  std::uint32_t trials{0};
-
-  friend bool operator==(const SurrogateCellKey&, const SurrogateCellKey&) = default;
-};
-
-/// Memoized anchor simulations, so repeated surrogate queries (sweeps over
-/// non-size axes, repeated CLI runs in one process) reuse each anchor. The
-/// memo is process-global and thread-safe. Studies that observe trials
-/// (metrics / trace) or journal them bypass the memo — a memo hit would
-/// skip the per-trial side effects.
-[[nodiscard]] std::optional<SurrogateAnchor> surrogate_memo_find(
-    const SurrogateCellKey& key);
-void surrogate_memo_store(const SurrogateCellKey& key, const SurrogateAnchor& anchor);
 
 }  // namespace xres

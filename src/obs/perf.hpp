@@ -46,7 +46,7 @@ struct PerfCounters {
   /// and workload pattern runs are not counted.
   std::uint64_t batched_trials{0};
   /// Study cells answered by the analytic surrogate without simulating
-  /// (resilience/surrogate.hpp) / cells where the error bound forced a
+  /// (core/surrogate.hpp) / cells where the error bound forced a
   /// fall back to full simulation.
   std::uint64_t surrogate_hits{0};
   std::uint64_t surrogate_fallbacks{0};

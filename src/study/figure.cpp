@@ -10,19 +10,30 @@
 
 namespace xres::study {
 
+void add_surrogate_param(ParamSchema& schema) {
+  schema.text("surrogate",
+              "sim | analytic | auto — answer cells from the analytic "
+              "surrogate with a per-cell error bound (docs/STUDIES.md)",
+              "sim");
+}
+
+SurrogateMode surrogate_param(const ParamSet& params) {
+  try {
+    return surrogate_mode_from_string(params.str("surrogate"));
+  } catch (const CheckError& e) {
+    usage_error_from(e);
+  }
+}
+
 int run_efficiency_figure(const std::string& title, EfficiencyStudyConfig config,
                           StudyContext& ctx) {
   const HarnessOptions& options = ctx.options();
   obs::PhaseProfiler profiler;
   profiler.begin("setup");
   config.trials = ctx.params().u32("trials");
-  try {
-    config.surrogate = surrogate_mode_from_string(ctx.params().str("surrogate"));
-  } catch (const CheckError& e) {
-    usage_error_from(e);
-  }
-  config.seed = options.seed;
-  config.threads = options.threads;
+  config.surrogate = surrogate_param(ctx.params());
+  config.seed = ctx.seed();
+  config.threads = ctx.threads();
   config.collect_metrics = options.obs.metrics();
   config.collect_trace = options.obs.trace();
   apply_platform_params(config.machine, ctx.params());
@@ -37,9 +48,9 @@ int run_efficiency_figure(const std::string& title, EfficiencyStudyConfig config
   // historical "; N threads" suffix; the suite routes it to stderr so the
   // captured artifact stays threads-invariant.
   if (status_stream() == stdout) {
-    std::printf("; %u threads", TrialExecutor{options.threads}.threads());
+    std::printf("; %u threads", ctx.make_executor().threads());
   } else {
-    statusf("(%u worker threads)\n", TrialExecutor{options.threads}.threads());
+    statusf("(%u worker threads)\n", ctx.make_executor().threads());
   }
   std::printf("\n\n");
 

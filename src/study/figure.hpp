@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file figure.hpp
-/// The Figures-1-3 efficiency-figure runner, shared by the figure studies
-/// and the `xres efficiency` adhoc study.
+/// The Figures-1-3 efficiency-figure runner, and the `surrogate` parameter
+/// the figure studies share with the `xres efficiency` adhoc study.
 
 #include <string>
 
@@ -11,10 +11,17 @@
 
 namespace xres::study {
 
+/// Declares the `surrogate` parameter (core/surrogate.hpp) on \p schema.
+void add_surrogate_param(ParamSchema& schema);
+
+/// The `surrogate` binding of \p params; an unknown mode exits with the
+/// usage error code (2).
+[[nodiscard]] SurrogateMode surrogate_param(const ParamSet& params);
+
 /// Run one Figures-1-3 style efficiency figure and print it in the paper's
 /// layout (rows: % of system; columns: technique; cells: mean ± σ over
-/// trials). Reads `trials` from the study's parameters, the rest from the
-/// harness options. Honors the crash-safety options (journal/resume/
+/// trials). Reads `trials` and `surrogate` from the study's parameters, the
+/// rest from the harness options. Honors the crash-safety options (journal/resume/
 /// watchdog); the journal is identified by the study's journal id. Returns
 /// the driver exit code: 0, or recovery::kExitInterrupted when a shutdown
 /// signal drained the study (figure artifacts are then withheld — resume to

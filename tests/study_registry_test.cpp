@@ -178,6 +178,26 @@ TEST(StudyMainDeathTest, ResumeWithoutJournalExitsUsage) {
               ::testing::ExitedWithCode(CliParser::kExitUsage), "--resume");
 }
 
+// A value outside a choice parameter's set is a usage error, raised before
+// any trial or pattern runs.
+TEST(StudyMainDeathTest, UnknownChoiceValuesExitUsage) {
+  struct Case {
+    const char* study;
+    const char* count;
+    const char* value;
+    const char* message;
+  };
+  for (const Case& c : {Case{"workload", "--patterns=1", "--bias=high-mem", "high-mem"},
+                        Case{"workload", "--patterns=1", "--scheduler=bogus", "scheduler"},
+                        Case{"workload", "--patterns=1", "--technique=bogus", "technique"},
+                        Case{"efficiency", "--trials=1", "--type=Z99", "Z99"}}) {
+    const char* argv[] = {"prog", "--no-ledger", c.count, c.value};
+    EXPECT_EXIT(study_main(c.study, 4, argv),
+                ::testing::ExitedWithCode(CliParser::kExitUsage), c.message)
+        << c.value;
+  }
+}
+
 TEST(StudyMainDeathTest, PfsAblationsRejectNonFlatPlatform) {
   // Both PFS ablations sweep the PFS model themselves, so a platform
   // override would silently run their rows on the wrong platform.

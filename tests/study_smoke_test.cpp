@@ -13,6 +13,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "study/capture.hpp"
@@ -39,10 +40,12 @@ struct SmokeArtifacts {
 };
 
 /// Runs \p def with every trial/pattern/trace count set to \p count and
-/// the run ledger off; \p adjust (optional) edits the harness options last.
-SmokeArtifacts run_smoke(const StudyDefinition& def, unsigned threads,
-                         const char* count = "2",
-                         const std::function<void(HarnessOptions&)>& adjust = {}) {
+/// the run ledger off; \p adjust (optional) edits the harness options last,
+/// and \p bindings (optional) set further parameters.
+SmokeArtifacts run_smoke(
+    const StudyDefinition& def, unsigned threads, const char* count = "2",
+    const std::function<void(HarnessOptions&)>& adjust = {},
+    const std::vector<std::pair<std::string, std::string>>& bindings = {}) {
   // Named after the running test too: ctest runs tests as parallel
   // processes, and two tests running one study must not share files.
   const std::string base =
@@ -53,6 +56,7 @@ SmokeArtifacts run_smoke(const StudyDefinition& def, unsigned threads,
   for (const char* key : {"trials", "patterns", "traces"}) {
     if (def.find_param(key) != nullptr) params.set(key, count);
   }
+  for (const auto& [key, value] : bindings) params.set(key, value);
   HarnessOptions options = default_harness_options(def);
   options.ledger = false;
   if (def.options.threads) options.threads = threads;
@@ -203,6 +207,25 @@ TEST(StudySmoke, EfficiencyFiguresMatchGolden) {
     const SmokeArtifacts run = run_smoke(*def, 1, "2");
     ASSERT_EQ(run.exit_code, 0) << name;
     const std::string base = std::string{XRES_TEST_DATA_DIR} + "/" + name + "_t2";
+    expect_golden(base + ".txt", run.stdout_bytes);
+    expect_golden(base + ".csv", run.csv_bytes);
+    expect_golden(base + ".metrics.json", run.metrics_bytes);
+  }
+}
+
+// Byte-identity guard for the surrogate modes of the efficiency loop:
+// Figure 2 at two trials per cell answers its interior sizes from the
+// anchors (analytic), or simulates the cells whose bound exceeds the auto
+// threshold (auto: 25 anchors, 8 fallbacks, 7 answered cells), so both
+// passes are pinned. Report, CSV and --metrics JSON.
+TEST(StudySmoke, EfficiencySurrogateModesMatchGolden) {
+  const StudyDefinition* def = StudyRegistry::instance().find("fig2_efficiency_d64");
+  ASSERT_NE(def, nullptr);
+  for (const char* mode : {"analytic", "auto"}) {
+    const SmokeArtifacts run = run_smoke(*def, 1, "2", {}, {{"surrogate", mode}});
+    ASSERT_EQ(run.exit_code, 0) << mode;
+    const std::string base =
+        std::string{XRES_TEST_DATA_DIR} + "/fig2_efficiency_d64_t2_" + mode;
     expect_golden(base + ".txt", run.stdout_bytes);
     expect_golden(base + ".csv", run.csv_bytes);
     expect_golden(base + ".metrics.json", run.metrics_bytes);

@@ -533,6 +533,9 @@ fault_injection_check() {
   check_rc 1 "$BUILD"/tools/xres run no-such-study
   check_rc 2 "$BUILD"/tools/xres run efficiency --no-such-flag
   check_rc 2 "$BUILD"/tools/xres run efficiency --io-faults bogus-spec
+  check_rc 2 "$BUILD"/tools/xres efficiency --type Z99
+  check_rc 2 "$BUILD"/tools/xres workload --bias bogus
+  check_rc 2 "$BUILD"/tools/xres workload --scheduler bogus
   check_rc 2 "$BUILD"/tools/xres journal /nonexistent/journal.jsonl
   check_rc 2 "$BUILD"/tools/xres journal "$dir/corrupt.jsonl"
   check_rc 2 "$BUILD"/tools/xres show some-run --ledger /nonexistent/ledger.jsonl
@@ -546,11 +549,12 @@ stage_done fault-injection
 
 # Surrogate stage (docs/STUDIES.md): the analytic surrogate must be wired
 # end to end at the CLI boundary — `--surrogate analytic|auto` runs, prints
-# the per-cell provenance table with its error bounds, and rejects unknown
-# modes as a usage error. The numerical contract (anchors bit-identical to
-# the simulator, interior cells within the reported bound) is enforced by
-# surrogate_diff_test.cpp: a fast subset in the tier-1 ctest pass above,
-# the full differential matrix under XRES_SMOKE_ALL=1 below.
+# the per-cell provenance table with its error bounds, gives the same bytes
+# at 1 and 4 worker threads, and rejects unknown modes as a usage error.
+# The numerical contract (anchors bit-identical to the simulator, interior
+# cells within the reported bound) is enforced by surrogate_diff_test.cpp:
+# a fast subset in the tier-1 ctest pass above, the full differential
+# matrix under XRES_SMOKE_ALL=1 below.
 surrogate_check() {
   local dir="$OBS_TMP/surrogate"
   mkdir -p "$dir"
@@ -559,13 +563,21 @@ surrogate_check() {
   grep -q 'Surrogate provenance' "$dir/analytic.txt"
   "$BUILD"/tools/xres "${args[@]}" --set surrogate=auto > "$dir/auto.txt"
   grep -q 'Surrogate provenance' "$dir/auto.txt"
+  # `xres efficiency` prints no run status to stdout, so whole files compare.
+  local t
+  for t in 1 4; do
+    "$BUILD"/tools/xres run efficiency --set trials=6 --set surrogate=auto \
+      --threads "$t" --no-ledger > "$dir/auto_t$t.txt"
+  done
+  cmp "$dir/auto_t1.txt" "$dir/auto_t4.txt"
   local rc=0
   "$BUILD"/tools/xres "${args[@]}" --set surrogate=bogus > /dev/null 2>&1 || rc=$?
   if [[ "$rc" != 2 ]]; then
     echo "surrogate: expected usage exit 2 for surrogate=bogus, got $rc" >&2
     return 1
   fi
-  echo "surrogate: OK (analytic + auto provenance printed, bad mode exit 2)"
+  echo "surrogate: OK (analytic + auto provenance printed, auto threads-invariant," \
+    "bad mode exit 2)"
 }
 surrogate_check
 stage_done surrogate

@@ -135,11 +135,8 @@ void list_markdown() {
       "  `surrogate_fallbacks` perf counter; answered cells count as\n"
       "  `surrogate_hits`, and both land in the run ledger).\n\n"
       "Surrogate-answered cells carry zero-count summaries (no fake\n"
-      "spread); anchors are memoized per process, keyed by the full cell\n"
-      "configuration, and the memo is bypassed whenever per-trial side\n"
-      "effects matter (--metrics, --trace, --journal). The contract —\n"
-      "anchors bit-identical, predictions within the reported bound — is\n"
-      "enforced by tests/surrogate_diff_test.cpp.\n\n");
+      "spread). The contract — anchors bit-identical, predictions within\n"
+      "the reported bound — is enforced by tests/surrogate_diff_test.cpp.\n\n");
   std::printf("Generated by `xres list --markdown` — do not edit by hand.\n");
   const auto all = study::StudyRegistry::instance().all();
   for (study::StudyGroup group : kGroupOrder) {
